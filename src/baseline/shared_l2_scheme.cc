@@ -103,7 +103,6 @@ POMTLB_REGISTER_SCHEME(registerSharedL2, {
                    "capacities (Bhattacharjee et al.)",
     .aliases = {"shared", "shared-l2"},
     .rank = 2,
-    .legacy = SchemeKind::SharedL2,
     .factory = [](const SystemConfig &config, Machine &machine)
         -> std::unique_ptr<TranslationScheme> {
         // Combine the private L2 TLB capacities into one shared

@@ -209,7 +209,6 @@ POMTLB_REGISTER_SCHEME(registerTsb, {
                    "buffer in main memory",
     .aliases = {"tsb"},
     .rank = 3,
-    .legacy = SchemeKind::Tsb,
     .factory = [](const SystemConfig &config, Machine &machine)
         -> std::unique_ptr<TranslationScheme> {
         // The software buffer lives at the top of host-physical

@@ -336,7 +336,6 @@ POMTLB_REGISTER_SCHEME(registerPomTlb, {
                    "die-stacked DRAM, cached by the data caches",
     .aliases = {"pom", "pom-tlb"},
     .rank = 1,
-    .legacy = SchemeKind::PomTlb,
     .factory = [](const SystemConfig &config, Machine &machine)
         -> std::unique_ptr<TranslationScheme> {
         return std::make_unique<PomTlbScheme>(

@@ -20,22 +20,11 @@
  *
  * A warmup phase runs before statistics are reset, so reported rates
  * are steady-state.
- *
- * Sharded execution (EngineConfig::runThreads) adds worker threads
- * without giving up one bit of that determinism: workers only run
- * the order-independent half of the work (trace generation, capture,
- * pre-population scans, block prefill, handed over at epoch
- * barriers), while the coordinating thread applies every cross-core
- * effect through the same heap loop in the same (clock, core) order.
- * Serial and sharded runs of any thread count, shard partition, or
- * epoch length therefore produce byte-identical statistics
- * (docs/internals.md §14).
  */
 
 #ifndef POMTLB_SIM_ENGINE_HH
 #define POMTLB_SIM_ENGINE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,28 +81,6 @@ struct EngineConfig
      * up normally during the warmup phase.
      */
     bool prepopulate = true;
-    /**
-     * Intra-run sharding: worker threads that run the order-
-     * independent half of a run — trace generation, stream capture,
-     * pre-population page scanning, block prefill — while the
-     * coordinating thread applies every cross-core effect (cache and
-     * DRAM-cache state, POM-TLB fills, shootdown broadcasts, stat
-     * deltas) in exact (clock, core) order at epoch barriers. 0 runs
-     * everything on the calling thread. Results are bit-identical
-     * for every value (docs/internals.md §14; enforced by
-     * tests/test_engine_sharded.cc), which is why this field — like
-     * epochCycles — is deliberately excluded from the sweep-cache
-     * job identity (engineConfigJson() in sim/sweep_cache.cc).
-     */
-    unsigned runThreads = 0;
-    /**
-     * Simulated-cycle length of one sharded-execution epoch: the
-     * horizon at which the coordinator takes a barrier and issues
-     * the next batch of parallel block prefills. 0 picks the default
-     * (8192 cycles). Affects only synchronization cadence, never
-     * results, and is excluded from job identity with runThreads.
-     */
-    Cycles epochCycles = 0;
 };
 
 /** Per-core results of a run. */
@@ -196,8 +163,6 @@ class SimulationEngine
                      const EngineConfig &config,
                      std::vector<std::unique_ptr<TraceSource>> sources);
 
-    ~SimulationEngine();
-
     /** Run warmup + measured phases; returns measured-phase stats. */
     RunResult run();
 
@@ -229,7 +194,7 @@ class SimulationEngine
         std::uint64_t shootdowns = 0;
     };
 
-    /** Common constructor tail (VM map, per-core state, sharding). */
+    /** Common constructor tail (VM map, per-core state). */
     void initCores();
 
     /** Refill @p lane's block from its replay slice or source. */
@@ -240,24 +205,6 @@ class SimulationEngine
 
     /** Dry-run the whole trace to pre-install steady-state pages. */
     void prepopulate();
-
-    /**
-     * Sharded pre-population (runThreads > 0): worker threads scan
-     * and capture every core's stream in parallel, each emitting its
-     * stream's first-touch pages in order; the coordinator then
-     * installs the globally novel ones serially in core order —
-     * exactly the serial prepopulate()'s ensureMapped()/prewarm()
-     * call sequence, so the page tables and scheme stores end up
-     * bit-identical.
-     */
-    void prepopulateSharded();
-
-    /**
-     * Epoch barrier of a sharded streaming run: top up every drained
-     * core's prefill buffer with one parallel batch of
-     * TraceSource::fill() calls.
-     */
-    void prefillBlocks();
 
     Machine &machine;
     BenchmarkProfile profile;
@@ -272,14 +219,6 @@ class SimulationEngine
      */
     std::vector<std::vector<TraceRecord>> replay;
     std::uint64_t refsSinceShootdown = 0;
-    /**
-     * Sharded-execution state (worker pool and per-core prefill
-     * buffers); non-null only when engineConfig.runThreads > 0. The
-     * type lives in engine.cc — nothing about sharding leaks into
-     * the public surface beyond the two EngineConfig knobs.
-     */
-    struct Shard;
-    std::unique_ptr<Shard> shard;
 };
 
 } // namespace pomtlb

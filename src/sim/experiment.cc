@@ -19,14 +19,6 @@ runScheme(const BenchmarkProfile &profile, const std::string &scheme,
         .summary;
 }
 
-SchemeRunSummary
-runScheme(const BenchmarkProfile &profile, SchemeKind scheme,
-          const ExperimentConfig &config)
-{
-    return runScheme(profile, std::string(schemeKindName(scheme)),
-                     config);
-}
-
 namespace
 {
 
@@ -53,12 +45,6 @@ BenchmarkComparison::summary(const std::string &scheme) const
           " run");
 }
 
-const SchemeRunSummary &
-BenchmarkComparison::summary(SchemeKind kind) const
-{
-    return summary(std::string(schemeKindName(kind)));
-}
-
 const SchemeDelta &
 BenchmarkComparison::delta(const std::string &scheme) const
 {
@@ -68,12 +54,6 @@ BenchmarkComparison::delta(const std::string &scheme) const
               " delta");
     }
     return it->second;
-}
-
-const SchemeDelta &
-BenchmarkComparison::delta(SchemeKind kind) const
-{
-    return delta(std::string(schemeKindName(kind)));
 }
 
 BenchmarkComparison
@@ -122,11 +102,9 @@ pomImprovementOnly(const BenchmarkProfile &profile,
 
     const std::vector<ExperimentResult> results =
         SweepRunner(config.sweepJobs)
-            .run({ExperimentRequest::of(profile.name,
-                                        SchemeKind::NestedWalk,
+            .run({ExperimentRequest::of(profile.name, "Baseline",
                                         config),
-                  ExperimentRequest::of(profile.name,
-                                        SchemeKind::PomTlb,
+                  ExperimentRequest::of(profile.name, "POM-TLB",
                                         pom_config)});
 
     return PerfModel::improvementPct(

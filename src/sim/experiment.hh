@@ -89,16 +89,6 @@ SchemeRunSummary runScheme(const BenchmarkProfile &profile,
                            const ExperimentConfig &config);
 
 /**
- * Legacy-enum overload of runScheme().
- * @deprecated Pass the registry scheme name (e.g. "POM-TLB")
- *             instead; this shim exists only for out-of-tree
- *             callers and will be removed with SchemeKind.
- */
-SchemeRunSummary runScheme(const BenchmarkProfile &profile,
-                           SchemeKind scheme,
-                           const ExperimentConfig &config);
-
-/**
  * Translation-cost ratio and Figure 8 improvement of one scheme
  * relative to the baseline run of the same benchmark.
  */
@@ -125,20 +115,8 @@ struct BenchmarkComparison
 
     /** Summary lookup; fatal if @p scheme was not part of the run. */
     const SchemeRunSummary &summary(const std::string &scheme) const;
-    /**
-     * Legacy-enum overload of summary().
-     * @deprecated Look up by registry scheme name instead; the
-     *             shim will be removed with SchemeKind.
-     */
-    const SchemeRunSummary &summary(SchemeKind kind) const;
     /** Delta lookup; fatal if @p scheme was not part of the run. */
     const SchemeDelta &delta(const std::string &scheme) const;
-    /**
-     * Legacy-enum overload of delta().
-     * @deprecated Look up by registry scheme name instead; the
-     *             shim will be removed with SchemeKind.
-     */
-    const SchemeDelta &delta(SchemeKind kind) const;
     /** The nested-walk baseline's summary. */
     const SchemeRunSummary &baseline() const
     {

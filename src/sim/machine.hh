@@ -11,7 +11,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,20 +44,6 @@ class Machine
      *               registered scheme answers to it.
      */
     Machine(const SystemConfig &config, const std::string &scheme);
-
-    /**
-     * Legacy-enum convenience: equivalent to constructing with
-     * schemeKindName(scheme_kind).
-     *
-     * @deprecated Construct with the registry scheme name (e.g.
-     *             "POM-TLB") instead; this shim exists only for
-     *             out-of-tree callers and will be removed with
-     *             SchemeKind.
-     *
-     * @param config      System geometry and feature switches.
-     * @param scheme_kind Which of the paper's four schemes to build.
-     */
-    Machine(const SystemConfig &config, SchemeKind scheme_kind);
 
     /** Core @p core's MMU front end. */
     Mmu &mmu(CoreId core) { return *mmus[core]; }
@@ -98,12 +83,6 @@ class Machine
 
     /** Canonical registry name of the scheme this machine runs. */
     const std::string &schemeName() const { return schemeKey; }
-
-    /**
-     * The legacy SchemeKind of the scheme this machine runs; empty
-     * for registry contenders outside the paper's original four.
-     */
-    std::optional<SchemeKind> schemeKind() const { return legacyKind; }
     /** The (validated) system configuration the machine runs. */
     const SystemConfig &config() const { return systemConfig; }
     /** Number of cores (MMU/walker pairs). */
@@ -164,8 +143,6 @@ class Machine
     SystemConfig systemConfig;
     /** Canonical registry name of the running scheme. */
     std::string schemeKey;
-    /** Legacy enum value, when the scheme shims one. */
-    std::optional<SchemeKind> legacyKind;
 
     std::unique_ptr<DramController> mainMem;
     std::unique_ptr<DramController> dieStacked;

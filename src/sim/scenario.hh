@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,7 +68,6 @@ namespace pomtlb
 {
 
 class Machine;
-class ShardPool;
 
 /** Schema identifier of the scenario export document. */
 inline constexpr const char *kScenarioSchemaV1 = "pomtlb-scenario-v1";
@@ -408,17 +406,6 @@ class ScenarioEngine
     void buildSchedule();
     void buildRegistry();
     void prepopulate();
-    /**
-     * Sharded pre-population (engine.runThreads > 0): worker threads
-     * scan and capture every tenant stream in parallel, each
-     * emitting its stream's first-touch pages in order; the
-     * coordinator installs the globally novel ones serially in
-     * stream order — the serial prepopulate()'s exact
-     * ensureMapped()/prewarm() sequence, so sharded scenarios stay
-     * byte-identical (the scenario twin of
-     * SimulationEngine::prepopulateSharded()).
-     */
-    void prepopulateSharded();
     void runPhase(std::uint64_t target);
     /** Switch @p lane to its next slice (lifecycle events fire). */
     void advanceSlice(Lane &lane, unsigned core, Cycles &clock);
@@ -439,14 +426,6 @@ class ScenarioEngine
     StatGroup tenantsGroup{"tenants"};
     StatsRegistry scenarioRegistry;
     std::vector<Lane> lanes;
-    /**
-     * Worker pool for the order-free half of pre-population;
-     * non-null only when engineConfig.runThreads > 0. The timed
-     * scenario loop itself stays on the coordinating thread — it is
-     * exactly the cross-core effect application that sharding must
-     * serialize anyway (docs/internals.md §14).
-     */
-    std::unique_ptr<ShardPool> pool;
     bool captured = false;
     std::uint64_t refsSinceShootdown = 0;
     std::uint64_t refsSinceStorm = 0;

@@ -102,46 +102,4 @@ SchemeRegistrar::SchemeRegistrar(SchemeRegistry::Info info)
     SchemeRegistry::global().add(std::move(info));
 }
 
-// ----------------------------------------------------------------
-// SchemeKind compatibility shim
-// ----------------------------------------------------------------
-
-const char *
-schemeKindName(SchemeKind kind)
-{
-    // A plain switch (not a registry query) keeps this callable from
-    // other translation units' static initialisers; a registry test
-    // pins these strings to the registered canonical names.
-    switch (kind) {
-      case SchemeKind::NestedWalk:
-        return "Baseline";
-      case SchemeKind::PomTlb:
-        return "POM-TLB";
-      case SchemeKind::SharedL2:
-        return "Shared_L2";
-      case SchemeKind::Tsb:
-        return "TSB";
-    }
-    return "?";
-}
-
-const std::vector<SchemeKind> &
-allSchemeKinds()
-{
-    static const std::vector<SchemeKind> kinds = {
-        SchemeKind::NestedWalk, SchemeKind::PomTlb,
-        SchemeKind::SharedL2, SchemeKind::Tsb};
-    return kinds;
-}
-
-std::optional<SchemeKind>
-schemeKindFromName(const std::string &name)
-{
-    const SchemeRegistry::Info *info =
-        SchemeRegistry::global().find(name);
-    if (info == nullptr)
-        return std::nullopt;
-    return info->legacy;
-}
-
 } // namespace pomtlb

@@ -38,15 +38,6 @@ ExperimentRequest::of(std::string benchmark_name,
     return request;
 }
 
-ExperimentRequest
-ExperimentRequest::of(std::string benchmark_name,
-                      SchemeKind scheme_kind, ExperimentConfig base)
-{
-    return of(std::move(benchmark_name),
-              std::string(schemeKindName(scheme_kind)),
-              std::move(base));
-}
-
 ExperimentRequest &
 ExperimentRequest::withLabel(std::string value)
 {
@@ -242,16 +233,6 @@ SweepSpec::withSchemes(std::vector<std::string> names)
         }
     }
     return *this;
-}
-
-SweepSpec &
-SweepSpec::withSchemes(const std::vector<SchemeKind> &kinds)
-{
-    std::vector<std::string> names;
-    names.reserve(kinds.size());
-    for (const SchemeKind kind : kinds)
-        names.emplace_back(schemeKindName(kind));
-    return withSchemes(std::move(names));
 }
 
 SweepSpec &

@@ -69,15 +69,6 @@ struct ExperimentRequest
     of(std::string benchmark_name, std::string scheme_name,
        ExperimentConfig base = ExperimentConfig{});
 
-    /**
-     * Legacy-enum overload of of().
-     * @deprecated Pass the registry scheme name instead; the
-     *             shim will be removed with SchemeKind.
-     */
-    static ExperimentRequest
-    of(std::string benchmark_name, SchemeKind scheme_kind,
-       ExperimentConfig base = ExperimentConfig{});
-
     // Fluent overrides (each returns *this for chaining).
     /** Set the variant tag. */
     ExperimentRequest &withLabel(std::string value);
@@ -152,12 +143,6 @@ class SweepSpec
     SweepSpec &withAllBenchmarks();
     /** Set the scheme axis by registry name (aliases accepted). */
     SweepSpec &withSchemes(std::vector<std::string> names);
-    /**
-     * Legacy-enum overload of withSchemes().
-     * @deprecated Pass registry scheme names instead; the shim
-     *             will be removed with SchemeKind.
-     */
-    SweepSpec &withSchemes(const std::vector<SchemeKind> &kinds);
     /**
      * Every registered scheme: the paper's four in Figure 8 order,
      * then contenders in registration (rank) order.

@@ -198,11 +198,6 @@ engineConfigJson(const EngineConfig &config)
     if (!config.tracePackPath.empty())
         object.set("trace_pack_hash",
                    tracePackContentHash(config.tracePackPath));
-    // runThreads and epochCycles are deliberately NOT part of the
-    // identity: they choose an execution strategy, not a simulated
-    // configuration, and sharded runs are bit-identical to serial
-    // ones (docs/internals.md §14, tests/test_engine_sharded.cc) —
-    // so a cache entry computed at any thread count serves them all.
     return object;
 }
 
@@ -651,14 +646,14 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
         const std::size_t owner = indices.front();
         if (const auto hit = replayed.find(hash);
             hit != replayed.end()) {
-            lastStats.journalHits += indices.size();
+            ++lastStats.journalHits;
             resolve(hash, hit->second, JobSource::Journal, 0.0);
             continue;
         }
         if (cache) {
             if (std::optional<JsonValue> entry =
                     cache->lookup(hash)) {
-                lastStats.cacheHits += indices.size();
+                ++lastStats.cacheHits;
                 if (journal) {
                     journal->append(hash, requests[owner].key(),
                                     "cache", 0.0, *entry);

@@ -250,13 +250,18 @@ struct SweepJobReport
     double wallSeconds = 0.0;
 };
 
-/** Aggregate accounting of one SweepService::run(). */
+/**
+ * Aggregate accounting of one SweepService::run(). Each distinct
+ * job hash counts once, under where its result came from; every
+ * further request with that hash counts in @c deduplicated, so
+ * executed + cacheHits + journalHits + deduplicated == jobs.
+ */
 struct SweepServiceStats
 {
     std::size_t jobs = 0;         /**< Requests in the campaign. */
     std::size_t executed = 0;     /**< Simulations actually run. */
-    std::size_t cacheHits = 0;    /**< Jobs served from the cache. */
-    std::size_t journalHits = 0;  /**< Jobs replayed from journal. */
+    std::size_t cacheHits = 0;    /**< Hashes served from the cache. */
+    std::size_t journalHits = 0;  /**< Hashes replayed from journal. */
     std::size_t deduplicated = 0; /**< Duplicate-hash jobs reused. */
     std::size_t quarantined = 0;  /**< Corrupt cache entries moved. */
 };

@@ -12,6 +12,7 @@
 #include "trace/source.hh"
 #include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
+#include "temp_path.hh"
 
 namespace pomtlb
 {
@@ -142,8 +143,7 @@ TEST(Engine, FileSourcesDriveTheMachine)
 {
     // Record a short synthetic trace, then replay it through the
     // engine via FileSource; the run must behave like a normal run.
-    const std::string path =
-        ::testing::TempDir() + "engine_replay_test.pomt";
+    const std::string path = uniqueTempPath("replay.pomt");
     const auto &profile = ProfileRegistry::byName("gups");
     {
         TraceGenerator generator(profile, 0, 123);
@@ -179,8 +179,7 @@ TEST(Engine, PackReplayMatchesTheGeneratorRunExactly)
 
     // Capture the exact streams that run consumed — same combined
     // seed, one stream per core, warmup + measured records...
-    const std::string path =
-        ::testing::TempDir() + "engine_pack_replay.pack";
+    const std::string path = uniqueTempPath("replay.pack");
     {
         TracePackWriter writer(path, {"core0", "core1"});
         const std::uint64_t per_core =

@@ -14,6 +14,7 @@
 #include "sim/perf_model.hh"
 #include "trace/source.hh"
 #include "trace/trace_file.hh"
+#include "temp_path.hh"
 
 namespace pomtlb
 {
@@ -88,8 +89,7 @@ TEST(PipelineSmoke, MixedTenantsFlow)
 TEST(PipelineSmoke, RecordReplayFlow)
 {
     // tools/pomtlb_cli.cc record-trace + replay-trace in miniature.
-    const std::string path =
-        ::testing::TempDir() + "pipeline_smoke.pomt";
+    const std::string path = uniqueTempPath("smoke.pomt");
     {
         TraceGenerator generator(
             ProfileRegistry::byName("canneal"), 0, 42);

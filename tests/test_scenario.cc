@@ -22,6 +22,7 @@
 #include "sim/machine.hh"
 #include "sim/scenario.hh"
 #include "sim/stats_export.hh"
+#include "temp_path.hh"
 
 namespace pomtlb
 {
@@ -343,8 +344,7 @@ TEST(Scenario, PackReplayReproducesTheScenarioExactly)
     spec.storm.intervalRefs = 700;
     spec.migrationPagesPerArrival = 8;
 
-    const std::string path =
-        ::testing::TempDir() + "scenario_replay_test.pack";
+    const std::string path = uniqueTempPath("replay.pack");
     Machine machine_a(spec.system, spec.scheme);
     ScenarioEngine engine_a(machine_a, spec);
     engine_a.recordPack(path);
@@ -540,6 +540,38 @@ TEST(ScenarioCampaign, RerunByteIdenticalAcrossCacheAndJobs)
         runScenarioCampaign(specs, wide, &stats);
     EXPECT_EQ(stats.executed, 2u);
     EXPECT_EQ(cold.dump(2), parallel.dump(2));
+}
+
+TEST(ScenarioCampaign, DuplicatesCountOncePerHash)
+{
+    ScratchDir scratch("scenario-dup-hits");
+    const ScenarioSpec a = churnSpec(4);
+    const ScenarioSpec b = churnSpec(8);
+    const std::vector<ScenarioSpec> specs = {a, b, a};
+
+    ScenarioCampaignOptions options;
+    options.cacheDir = scratch.sub("cache");
+    options.jobs = 1;
+    SweepServiceStats stats;
+    const JsonValue cold = runScenarioCampaign(specs, options, &stats);
+    EXPECT_EQ(stats.executed, 2u);
+    EXPECT_EQ(stats.deduplicated, 1u);
+
+    // A duplicate of a cached or journaled scenario is one more
+    // dedup, not one more hit: each hash counts once, so the
+    // counters always add up to the job count.
+    options.journalPath = scratch.sub("scenario.journal");
+    for (const bool from_journal : {false, true}) {
+        EXPECT_EQ(runScenarioCampaign(specs, options, &stats).dump(2),
+                  cold.dump(2));
+        EXPECT_EQ(stats.executed, 0u);
+        EXPECT_EQ(stats.cacheHits, from_journal ? 0u : 2u);
+        EXPECT_EQ(stats.journalHits, from_journal ? 2u : 0u);
+        EXPECT_EQ(stats.deduplicated, 1u);
+        EXPECT_EQ(stats.executed + stats.cacheHits +
+                      stats.journalHits + stats.deduplicated,
+                  stats.jobs);
+    }
 }
 
 TEST(ScenarioCampaign, KilledCampaignResumesByteIdentical)

@@ -121,21 +121,6 @@ TEST(JobHash, SweepJobsDoesNotSplitTheCache)
     EXPECT_EQ(jobHash(serial), jobHash(parallel));
 }
 
-TEST(JobHash, RunThreadsAndEpochCyclesDoNotSplitTheCache)
-{
-    // Intra-run sharding is an execution strategy with bit-identical
-    // results (tests/test_engine_sharded.cc), so a cache entry
-    // computed serially must be served to sharded requests and vice
-    // versa — runThreads and epochCycles are excluded from the
-    // identity (engineConfigJson in sim/sweep_cache.cc).
-    const ExperimentRequest serial =
-        ExperimentRequest::of("mcf", "pom");
-    ExperimentRequest sharded = serial;
-    sharded.config.engine.runThreads = 8;
-    sharded.config.engine.epochCycles = 4096;
-    EXPECT_EQ(jobHash(serial), jobHash(sharded));
-}
-
 TEST(JobHash, EveryRelevantKnobChangesTheHash)
 {
     const ExperimentRequest base =
@@ -499,6 +484,23 @@ TEST(SweepService, DuplicateJobsExecuteOnce)
     EXPECT_EQ(service.stats().deduplicated, 1u);
     EXPECT_EQ(document.at("runs").at(std::size_t{0}).dump(0),
               document.at("runs").at(std::size_t{2}).dump(0));
+
+    // A duplicate of a cached or journaled job is one more dedup,
+    // not one more hit: each hash counts once, so the counters
+    // always add up to the job count.
+    options.journalPath = scratch.sub("sweep.journal");
+    for (const bool from_journal : {false, true}) {
+        SweepService rerun(options);
+        EXPECT_EQ(rerun.run(requests).dump(2), document.dump(2));
+        const SweepServiceStats &stats = rerun.stats();
+        EXPECT_EQ(stats.executed, 0u);
+        EXPECT_EQ(stats.cacheHits, from_journal ? 0u : 2u);
+        EXPECT_EQ(stats.journalHits, from_journal ? 2u : 0u);
+        EXPECT_EQ(stats.deduplicated, 1u);
+        EXPECT_EQ(stats.executed + stats.cacheHits +
+                      stats.journalHits + stats.deduplicated,
+                  stats.jobs);
+    }
 }
 
 TEST(SweepService, EmitsEveryJobInRequestOrder)

@@ -22,6 +22,7 @@
 #include "trace/generator.hh"
 #include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
+#include "temp_path.hh"
 
 namespace pomtlb
 {
@@ -60,7 +61,7 @@ class TracePackTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "pomtlb_tracepack_test.pack";
+        path = uniqueTempPath("trace.pack");
     }
 
     void TearDown() override { std::remove(path.c_str()); }
@@ -386,8 +387,7 @@ TEST_F(TracePackTest, FuzzRandomTruncationNeverCrashes)
 
 TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
 {
-    const std::string legacy =
-        ::testing::TempDir() + "pomtlb_tracepack_legacy.pomt";
+    const std::string legacy = uniqueTempPath("legacy.pomt");
     const auto records = syntheticRecords(2500, 19);
     {
         TraceFileWriter writer(legacy);
@@ -429,8 +429,7 @@ TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
 
 TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)
 {
-    const std::string text =
-        ::testing::TempDir() + "pomtlb_tracepack_text.csv";
+    const std::string text = uniqueTempPath("text.csv");
     {
         std::ofstream out(text);
         out << "# pomtlb-tracetext-v1\n"
