@@ -60,9 +60,15 @@ std::uint64_t
 JsonValue::asUint() const
 {
     const double value = asNumber();
-    if (value < 0.0 || std::floor(value) != value)
-        throw std::logic_error("JSON number is not a non-negative "
-                               "integer");
+    // 2^64 is exact as a double; the negated comparisons also catch
+    // NaN.
+    if (!(value >= 0.0 && value < 18446744073709551616.0) ||
+        std::floor(value) != value) {
+        std::ostringstream text;
+        text << value;
+        throw JsonRangeError("JSON number " + text.str() +
+                             " is not an integer in [0, 2^64)");
+    }
     return static_cast<std::uint64_t>(value);
 }
 

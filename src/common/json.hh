@@ -41,6 +41,17 @@ class JsonParseError : public std::runtime_error
     std::size_t offset;
 };
 
+/**
+ * Thrown by JsonValue::asUint for a number with no exact uint64
+ * value: negative, fractional, not finite, or at least 2^64. (A
+ * plain cast would be undefined behaviour for the last two.)
+ */
+class JsonRangeError : public std::out_of_range
+{
+  public:
+    using std::out_of_range::out_of_range;
+};
+
 /** One JSON value: null, bool, number, string, array, or object. */
 class JsonValue
 {
@@ -92,7 +103,10 @@ class JsonValue
     /** Typed accessors; throw std::logic_error on kind mismatch. */
     bool asBool() const;
     double asNumber() const;
-    /** asNumber() rounded; throws if not integral. */
+    /**
+     * asNumber() as an exact unsigned integer; throws JsonRangeError
+     * unless the number is an integer in [0, 2^64).
+     */
     std::uint64_t asUint() const;
     const std::string &asString() const;
 

@@ -1,22 +1,14 @@
 /**
  * @file
- * The trace-driven simulation engine.
+ * The classic run API: N cores running one workload profile.
  *
- * Each core runs its own generator stream; the engine always advances
- * the core with the smallest local clock, so the cores' memory
- * traffic interleaves at the shared L3/DRAM the way a multicore's
- * would (the Ramulator-style cadence of Section 3.2). Non-memory
- * instructions advance a core's clock at one instruction per cycle;
- * memory references charge translation plus data-path latency.
- *
- * The hot path is batched: a ClockHeap picks the earliest core in
- * O(log cores) (with an O(1) fast path while that core stays
- * earliest), trace records arrive in caller-owned blocks via
- * TraceSource::fill() rather than one virtual call each, and the
- * steady state allocates nothing — all scratch buffers are sized
- * once per run. The scheduling order is exactly the old per-step
- * linear scan's (lowest clock, ties to the lowest core index), so
- * results are bit-identical to the pre-batching engine.
+ * Each core runs its own trace stream (a seeded generator, a stream
+ * of a pomtlb-tracepack-v1 file, or a caller-supplied source).
+ * SimulationEngine compiles that into the representation the
+ * scenario engine runs on — one tenant with one stream per core, each
+ * core scheduled as a single slice — and executes it on the shared
+ * core loop (sim/core_loop.hh), which owns the scheduling, the
+ * warmup/measured phases and steady-state pre-population.
  *
  * A warmup phase runs before statistics are reset, so reported rates
  * are steady-state.
@@ -25,6 +17,7 @@
 #ifndef POMTLB_SIM_ENGINE_HH
 #define POMTLB_SIM_ENGINE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,6 +132,8 @@ struct RunResult
     mutable bool cachedValid = false;
 };
 
+class CoreLoop;
+
 /** Drives one benchmark through one machine. */
 class SimulationEngine
 {
@@ -163,62 +158,14 @@ class SimulationEngine
                      const EngineConfig &config,
                      std::vector<std::unique_ptr<TraceSource>> sources);
 
+    ~SimulationEngine();
+
     /** Run warmup + measured phases; returns measured-phase stats. */
     RunResult run();
 
   private:
-    /**
-     * Per-core execution lane: the core's clock, its current trace
-     * block, and the stats deltas it accumulates locally (flushed
-     * into the RunResult at phase boundaries). Sized once per run —
-     * nothing here allocates on the per-reference path.
-     */
-    struct Lane
-    {
-        Cycles clock = 0;
-        /** Records consumed from the source this run. */
-        std::uint64_t consumed = 0;
-        /** References issued in the current phase. */
-        std::uint64_t phaseDone = 0;
-        /** Current trace block (replay slice or scratch buffer). */
-        const TraceRecord *block = nullptr;
-        std::uint64_t blockPos = 0;
-        std::uint64_t blockLen = 0;
-        /** Scratch block when streaming straight from the source. */
-        std::vector<TraceRecord> scratch;
-        Mmu *mmu = nullptr;
-        VmId vm = 1;
-        ProcessId pid = 1;
-        InstCount instructions = 0;
-        std::uint64_t pageWalks = 0;
-        std::uint64_t shootdowns = 0;
-    };
-
-    /** Common constructor tail (VM map, per-core state). */
-    void initCores();
-
-    /** Refill @p lane's block from its replay slice or source. */
-    void refill(Lane &lane, unsigned core);
-
-    /** Issue references until every lane has done @p target refs. */
-    void runPhase(std::vector<Lane> &lanes, std::uint64_t target);
-
-    /** Dry-run the whole trace to pre-install steady-state pages. */
-    void prepopulate();
-
-    Machine &machine;
-    BenchmarkProfile profile;
-    EngineConfig engineConfig;
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    std::vector<VmId> coreVm;
-    std::vector<ProcessId> corePid;
-    /**
-     * When pre-population captured the trace, the timed run replays
-     * these per-core record vectors instead of re-generating the
-     * stream (one capture, two uses).
-     */
-    std::vector<std::vector<TraceRecord>> replay;
-    std::uint64_t refsSinceShootdown = 0;
+    /** The compiled run (see sim/core_loop.hh). */
+    std::unique_ptr<CoreLoop> loop;
 };
 
 } // namespace pomtlb

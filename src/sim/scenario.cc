@@ -1,24 +1,14 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <map>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 
-#include "common/bitutil.hh"
 #include "common/content_hash.hh"
-#include "common/hash_set.hh"
 #include "common/log.hh"
-#include "sim/clock_heap.hh"
 #include "sim/machine.hh"
 #include "sim/scheme_registry.hh"
 #include "sim/stats_export.hh"
-#include "tlb/core_tlbs.hh"
 #include "trace/profile.hh"
 #include "trace/tracepack.hh"
 
@@ -184,35 +174,23 @@ ScenarioSpec::resolvedTenants() const
 // ScenarioEngine: compilation
 // ---------------------------------------------------------------
 
-ScenarioEngine::ScenarioEngine(Machine &machine_ref,
-                               const ScenarioSpec &scenario)
-    : machine(machine_ref), spec(scenario),
-      engineConfig(scenario.engine)
+namespace
 {
-    simAssert(machine.numCores() == spec.system.numCores,
-              "machine geometry does not match the scenario's "
-              "system config");
-    totalPerCore =
-        engineConfig.warmupRefsPerCore + engineConfig.refsPerCore;
-    tenants = spec.resolvedTenants();
-    buildStreams();
-    buildSchedule();
-    buildRegistry();
-}
 
-ScenarioEngine::~ScenarioEngine() = default;
-
+/**
+ * One stream per tenant vCPU, homed on core `stream_id % cores`;
+ * tenants sharing a trace pack share one mmap-ed reader.
+ */
 void
-ScenarioEngine::buildStreams()
+addStreams(const Machine &machine, const ScenarioSpec &spec,
+           CompiledRun &run)
 {
     const unsigned cores = machine.numCores();
-    const std::uint64_t seed =
-        engineConfig.seed ^ machine.config().seed;
-    // Tenants sharing a pack share one mmap-ed reader.
+    const std::uint64_t seed = spec.engine.seed ^ machine.config().seed;
     std::map<std::string, std::shared_ptr<TracePackReader>> packs;
     std::uint32_t stream_id = 0;
-    for (unsigned t = 0; t < tenants.size(); ++t) {
-        const ResolvedTenant &tenant = tenants[t];
+    for (unsigned t = 0; t < run.tenants.size(); ++t) {
+        const ResolvedTenant &tenant = run.tenants[t];
         // The stream generates against the tenant's *effective*
         // footprint, so overcommit shrinks the touched page pool —
         // the resident working set — rather than slowing the clock.
@@ -242,35 +220,46 @@ ScenarioEngine::buildStreams()
                 tenant.multithreaded
                     ? tenant.pidBase
                     : static_cast<ProcessId>(tenant.pidBase + v);
-            streams.add(std::move(stream));
+            run.streams.add(std::move(stream));
         }
     }
 }
 
+/**
+ * Split each core's timeline at every arrival/departure into
+ * segments, round-robin time-slice each segment among its resident
+ * streams, mark each stream's first and last slice, and charge every
+ * stream its scheduled reference count.
+ */
 void
-ScenarioEngine::buildSchedule()
+buildSchedule(const Machine &machine, const ScenarioSpec &spec,
+              CompiledRun &run)
 {
     const unsigned cores = machine.numCores();
     const std::uint64_t quantum =
         spec.timeSliceRefs ? spec.timeSliceRefs : 2000;
+    const std::uint64_t total_per_core =
+        spec.engine.warmupRefsPerCore + spec.engine.refsPerCore;
+    TenantStreamSet &streams = run.streams;
+    const std::vector<ResolvedTenant> &tenants = run.tenants;
 
     std::vector<std::vector<std::uint32_t>> homed(cores);
     for (std::uint32_t s = 0; s < streams.size(); ++s)
         homed[streams.at(s).homeCore].push_back(s);
 
-    schedule.assign(cores, {});
+    run.schedule.assign(cores, {});
     for (unsigned core = 0; core < cores; ++core) {
         simAssert(!homed[core].empty(),
                   "scenario leaves a core with no tenant streams");
 
         // Segment the core's timeline at every arrival/departure.
-        std::vector<std::uint64_t> bounds{0, totalPerCore};
+        std::vector<std::uint64_t> bounds{0, total_per_core};
         for (const std::uint32_t s : homed[core]) {
             const ResolvedTenant &t =
                 tenants[streams.at(s).tenant];
-            if (t.arrivalRefs > 0 && t.arrivalRefs < totalPerCore)
+            if (t.arrivalRefs > 0 && t.arrivalRefs < total_per_core)
                 bounds.push_back(t.arrivalRefs);
-            if (t.departureRefs < totalPerCore)
+            if (t.departureRefs < total_per_core)
                 bounds.push_back(t.departureRefs);
         }
         std::sort(bounds.begin(), bounds.end());
@@ -347,32 +336,45 @@ ScenarioEngine::buildSchedule()
                 it->lastOfStream = true;
             }
         }
-        schedule[core] = std::move(plan);
+        run.schedule[core] = std::move(plan);
     }
 }
 
-void
-ScenarioEngine::buildRegistry()
+/** @p spec in the core loop's representation (sim/core_loop.hh). */
+CompiledRun
+compileScenario(const Machine &machine, const ScenarioSpec &spec)
 {
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        const ResolvedTenant &tenant = tenants[i];
-        runtimes.emplace_back(tenant.name);
-        TenantRuntime &rt = runtimes.back();
-        rt.arrivalDone = tenant.arrivalRefs == 0;
-        rt.departsMidRun = tenant.departureRefs < totalPerCore;
+    simAssert(machine.numCores() == spec.system.numCores,
+              "machine geometry does not match the scenario's "
+              "system config");
+    CompiledRun run;
+    run.tenants = spec.resolvedTenants();
+    run.storm = spec.storm;
+    run.migrationPagesPerArrival = spec.migrationPagesPerArrival;
+    addStreams(machine, spec, run);
+    buildSchedule(machine, spec, run);
+    return run;
+}
 
-        StatGroup &group = rt.group;
+} // namespace
+
+ScenarioEngine::ScenarioEngine(Machine &machine, const ScenarioSpec &spec)
+    : loop(machine, spec.engine, compileScenario(machine, spec))
+{
+    for (std::size_t i = 0; i < loop.tenants().size(); ++i) {
+        const TenantResult &rt = loop.tenant(i);
+        StatGroup &group = tenantGroups.emplace_back(rt.name);
         group.addDerived("refs", [&rt] {
             return static_cast<double>(rt.refs);
         });
         group.addDerived("l1_tlb_hits", [&rt] {
-            return static_cast<double>(rt.l1Hits);
+            return static_cast<double>(rt.l1TlbHits);
         });
         group.addDerived("l2_tlb_hits", [&rt] {
-            return static_cast<double>(rt.l2Hits);
+            return static_cast<double>(rt.l2TlbHits);
         });
         group.addDerived("last_level_tlb_misses", [&rt] {
-            return static_cast<double>(rt.misses);
+            return static_cast<double>(rt.lastLevelTlbMisses);
         });
         group.addDerived("translation_cycles", [&rt] {
             return static_cast<double>(rt.translationCycles);
@@ -387,39 +389,45 @@ ScenarioEngine::buildRegistry()
             return static_cast<double>(rt.migrations);
         });
         group.addDerived("l1_hit_ratio", [&rt] {
-            return rt.refs ? static_cast<double>(rt.l1Hits) /
+            return rt.refs ? static_cast<double>(rt.l1TlbHits) /
                                  static_cast<double>(rt.refs)
                            : 0.0;
         });
         group.addDerived("l2_hit_ratio", [&rt] {
-            return rt.refs ? static_cast<double>(rt.l2Hits) /
+            return rt.refs ? static_cast<double>(rt.l2TlbHits) /
                                  static_cast<double>(rt.refs)
                            : 0.0;
         });
         group.addDerived("p50_translation_cycles", [&rt] {
             return static_cast<double>(
-                rt.latency.percentileUpperBound(50.0));
+                rt.translationLatency.percentileUpperBound(50.0));
         });
         group.addDerived("p95_translation_cycles", [&rt] {
             return static_cast<double>(
-                rt.latency.percentileUpperBound(95.0));
+                rt.translationLatency.percentileUpperBound(95.0));
         });
         group.addDerived("p99_translation_cycles", [&rt] {
             return static_cast<double>(
-                rt.latency.percentileUpperBound(99.0));
+                rt.translationLatency.percentileUpperBound(99.0));
         });
         group.addHistogram("translation_cycle_histogram",
-                           rt.latency);
+                           rt.translationLatency);
         tenantsGroup.addChild(group);
     }
-    for (std::uint32_t s = 0; s < streams.size(); ++s)
-        ++runtimes[streams.at(s).tenant].activeStreams;
     scenarioRegistry.add(tenantsGroup);
 }
+
+ScenarioEngine::~ScenarioEngine() = default;
 
 // ---------------------------------------------------------------
 // ScenarioEngine: execution
 // ---------------------------------------------------------------
+
+ScenarioResult
+ScenarioEngine::run()
+{
+    return loop.run();
+}
 
 void
 ScenarioEngine::recordPack(const std::string &path)
@@ -427,6 +435,8 @@ ScenarioEngine::recordPack(const std::string &path)
     // One pack stream per compiled tenant stream, in stream order
     // (= one per vCPU in resolved-tenant order) — the layout
     // ScenarioSpec::tracePack consumes on replay.
+    TenantStreamSet &streams = loop.streams();
+    const std::vector<ResolvedTenant> &tenants = loop.tenants();
     std::vector<std::string> names;
     names.reserve(streams.size());
     std::vector<unsigned> vcpu_seen(tenants.size(), 0);
@@ -460,379 +470,6 @@ ScenarioEngine::recordPack(const std::string &path)
         stream.source->rewind();
     }
     writer.close();
-}
-
-void
-ScenarioEngine::prepopulate()
-{
-    captured = streams.captureEligible();
-    MemoryMap &map = machine.memoryMap();
-    U64Set seen(std::size_t{1} << 16);
-    std::vector<TraceRecord> chunk;
-    if (!captured) {
-        chunk.resize(static_cast<std::size_t>(
-            TenantStreamSet::streamBlockRecords));
-    }
-
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        TenantStream &stream = streams.at(s);
-        const std::uint64_t per_stream = stream.totalRefs;
-        // Replay exactly the records the timed run will issue.
-        TraceSource &dry = *stream.source;
-        dry.rewind();
-        const VmId vm = stream.vm;
-        const ProcessId pid = stream.pid;
-        // Dedup key covers (page, pid, vm): the same page may need
-        // separate entries per process and per VM.
-        const std::uint64_t space_key =
-            mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
-
-        if (captured)
-            stream.replay.resize(per_stream);
-
-        std::uint64_t done = 0;
-        std::uint64_t last_key = ~std::uint64_t{0};
-        while (done < per_stream) {
-            TraceRecord *block;
-            std::size_t want;
-            if (captured) {
-                block = stream.replay.data() + done;
-                want = static_cast<std::size_t>(per_stream - done);
-            } else {
-                block = chunk.data();
-                want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunk.size(),
-                                            per_stream - done));
-            }
-            const std::size_t got = dry.fill(block, want);
-            simAssert(got == want, "trace source exhausted during "
-                                   "steady-state pre-population");
-            for (std::size_t i = 0; i < got; ++i) {
-                const TraceRecord &record = block[i];
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
-                // Page-local runs dominate the streams: skip the set
-                // probe when the key repeats back-to-back.
-                if (key == last_key)
-                    continue;
-                last_key = key;
-                if (!seen.insert(key))
-                    continue;
-                const TranslationInfo info = map.ensureMapped(
-                    vm, pid, record.vaddr, record.pageSize);
-                machine.scheme().prewarm(
-                    stream.homeCore, record.vaddr, record.pageSize,
-                    vm, pid,
-                    info.hpa >> pageShift(record.pageSize));
-            }
-            done += got;
-        }
-        // Leave the source rewound whether or not the timed run will
-        // replay the capture instead of re-reading it.
-        dry.rewind();
-    }
-}
-
-void
-ScenarioEngine::migratePages(unsigned tenant_index, Lane &lane,
-                             Cycles &clock)
-{
-    const std::uint64_t count = spec.migrationPagesPerArrival;
-    if (count == 0)
-        return;
-    const ResolvedTenant &tenant = tenants[tenant_index];
-    TenantRuntime &rt = runtimes[tenant_index];
-    MemoryMap &map = machine.memoryMap();
-    const std::uint64_t num_pages = std::max<std::uint64_t>(
-        1, tenant.footprintBytes >> 12);
-    for (std::uint64_t k = 0; k < count; ++k) {
-        // A deterministic pseudo-random page of the tenant's
-        // footprint moves to a new frame: unmap, shoot down the
-        // stale translation everywhere, remap.
-        const std::uint64_t index =
-            mix64((static_cast<std::uint64_t>(tenant_index) << 32) ^
-                  k) %
-            num_pages;
-        const Addr vaddr = static_cast<Addr>(index) << 12;
-        map.unmapPage(tenant.vm, tenant.pidBase, vaddr,
-                      PageSize::Small4K);
-        machine.shootdownPage(vaddr, PageSize::Small4K, tenant.vm,
-                              tenant.pidBase);
-        map.ensureMapped(tenant.vm, tenant.pidBase, vaddr,
-                         PageSize::Small4K);
-        clock += engineConfig.shootdownCycles;
-        ++lane.shootdowns;
-        ++rt.migrations;
-        ++migrations;
-    }
-}
-
-void
-ScenarioEngine::advanceSlice(Lane &lane, unsigned core,
-                             Cycles &clock)
-{
-    const std::vector<Slice> &plan = schedule[core];
-    const Slice &finished = plan[lane.sliceIndex];
-    if (finished.lastOfStream) {
-        const TenantStream &stream = streams.at(finished.stream);
-        TenantRuntime &rt = runtimes[stream.tenant];
-        if (--rt.activeStreams == 0 && rt.departsMidRun &&
-            !rt.departed) {
-            // The tenant's last vCPU retired: the VM tears down,
-            // and its translations are flushed machine-wide.
-            machine.shootdownVm(stream.vm);
-            clock += engineConfig.shootdownCycles;
-            ++lane.shootdowns;
-            rt.departed = true;
-            ++departures;
-        }
-    }
-
-    ++lane.sliceIndex;
-    simAssert(lane.sliceIndex < plan.size(),
-              "core ran past its slice schedule");
-    const Slice &next = plan[lane.sliceIndex];
-    lane.cursor = &streams.at(next.stream);
-    lane.sliceLeft = next.length;
-
-    if (next.firstOfStream) {
-        const TenantStream &stream = streams.at(next.stream);
-        TenantRuntime &rt = runtimes[stream.tenant];
-        if (!rt.arrivalDone) {
-            rt.arrivalDone = true;
-            migratePages(stream.tenant, lane, clock);
-        }
-    }
-}
-
-void
-ScenarioEngine::runPhase(std::uint64_t target)
-{
-    if (target == 0)
-        return;
-
-    DataHierarchy &hierarchy = machine.hierarchy();
-    const std::uint64_t interval =
-        engineConfig.shootdownIntervalRefs;
-    const std::uint64_t storm_interval = spec.storm.intervalRefs;
-    const unsigned storm_pages =
-        std::max(1u, spec.storm.pagesPerBurst);
-
-    // Seed the scheduler with every lane's current clock — the same
-    // (clock, core) lexicographic order the classic engine uses.
-    ClockHeap heap;
-    heap.reset(lanes.size());
-    for (std::uint32_t core = 0; core < lanes.size(); ++core) {
-        lanes[core].phaseDone = 0;
-        heap.push(lanes[core].clock, core);
-    }
-
-    while (!heap.empty()) {
-        const std::uint32_t core = heap.topId();
-        Lane &lane = lanes[core];
-        Mmu &mmu = *lane.mmu;
-        Cycles clock = lane.clock;
-
-        // Run this lane until it either finishes the phase or stops
-        // being globally earliest; only then touch the heap.
-        for (;;) {
-            if (lane.sliceLeft == 0)
-                advanceSlice(lane, core, clock);
-            TenantStream &stream = *lane.cursor;
-            if (stream.blockPos == stream.blockLen)
-                streams.refill(stream);
-            const TraceRecord &record =
-                stream.block[stream.blockPos++];
-            ++stream.consumed;
-            --lane.sliceLeft;
-            const VmId vm = stream.vm;
-            const ProcessId pid = stream.pid;
-            TenantRuntime &tenant = runtimes[stream.tenant];
-
-            // Non-memory instructions retire at one per cycle.
-            clock += record.instGap;
-            lane.instructions += record.instGap + 1;
-
-            const MmuResult translation = mmu.translate(
-                record.vaddr, record.pageSize, vm, pid, clock);
-            clock += translation.cycles;
-            lane.pageWalks += translation.walked ? 1 : 0;
-
-            // Per-tenant QoS accounting: fixed counters and one
-            // log2-histogram sample — nothing here allocates.
-            ++tenant.refs;
-            tenant.translationCycles += translation.cycles;
-            switch (translation.level) {
-              case TlbLevel::L1: ++tenant.l1Hits; break;
-              case TlbLevel::L2: ++tenant.l2Hits; break;
-              default: ++tenant.misses; break;
-            }
-            tenant.pageWalks += translation.walked ? 1 : 0;
-            tenant.latency.sample(translation.cycles);
-
-            const HierarchyAccessResult data = hierarchy.accessData(
-                core, translation.hpa, record.type, clock);
-            clock += data.latency;
-
-            // Periodic TLB shootdowns (disabled by default).
-            if (interval > 0 &&
-                ++refsSinceShootdown >= interval) {
-                refsSinceShootdown = 0;
-                machine.shootdownPage(record.vaddr, record.pageSize,
-                                      vm, pid);
-                clock += engineConfig.shootdownCycles;
-                ++lane.shootdowns;
-                ++tenant.shootdowns;
-            }
-
-            // Shootdown storms: a burst of consecutive pages starting
-            // at the triggering reference's page.
-            if (storm_interval > 0 &&
-                ++refsSinceStorm >= storm_interval) {
-                refsSinceStorm = 0;
-                const Addr page =
-                    pageBase(record.vaddr, record.pageSize);
-                const Addr bytes = pageBytes(record.pageSize);
-                for (unsigned p = 0; p < storm_pages; ++p) {
-                    machine.shootdownPage(
-                        page + static_cast<Addr>(p) * bytes,
-                        record.pageSize, vm, pid);
-                    clock += engineConfig.shootdownCycles;
-                }
-                lane.shootdowns += storm_pages;
-                tenant.shootdowns += storm_pages;
-                stormShootdowns += storm_pages;
-            }
-
-            if (++lane.phaseDone == target) {
-                lane.clock = clock;
-                heap.popTop();
-                break;
-            }
-            if (!heap.staysTop(clock, core)) {
-                lane.clock = clock;
-                heap.replaceTop(clock);
-                break;
-            }
-        }
-    }
-}
-
-ScenarioResult
-ScenarioEngine::run()
-{
-    const unsigned cores = machine.numCores();
-
-    // Re-arm the per-run mutable state (runs are repeatable).
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        TenantRuntime &rt = runtimes[i];
-        rt.refs = rt.l1Hits = rt.l2Hits = rt.misses = 0;
-        rt.translationCycles = rt.pageWalks = 0;
-        rt.shootdowns = rt.migrations = 0;
-        rt.latency.reset();
-        rt.departed = false;
-        rt.arrivalDone = tenants[i].arrivalRefs == 0;
-        rt.activeStreams = 0;
-    }
-    for (std::uint32_t s = 0; s < streams.size(); ++s)
-        ++runtimes[streams.at(s).tenant].activeStreams;
-    departures = migrations = stormShootdowns = 0;
-
-    if (engineConfig.prepopulate) {
-        prepopulate();
-    } else {
-        captured = false;
-        streams.releaseCaptures();
-    }
-    streams.beginRun(captured);
-
-    lanes.assign(cores, Lane{});
-    for (unsigned core = 0; core < cores; ++core) {
-        Lane &lane = lanes[core];
-        lane.mmu = &machine.mmu(core);
-        const Slice &first = schedule[core].front();
-        lane.cursor = &streams.at(first.stream);
-        lane.sliceLeft = first.length;
-    }
-
-    // Warmup: populate TLBs, caches, page tables, POM-TLB. Lifecycle
-    // flags (arrivals done, departures fired) persist across the
-    // boundary; only the statistics reset.
-    const std::uint64_t warmup = engineConfig.warmupRefsPerCore;
-    if (warmup > 0) {
-        runPhase(warmup);
-        machine.resetStats();
-        for (Lane &lane : lanes) {
-            lane.instructions = 0;
-            lane.pageWalks = 0;
-            lane.shootdowns = 0;
-        }
-        for (TenantRuntime &rt : runtimes) {
-            rt.refs = rt.l1Hits = rt.l2Hits = rt.misses = 0;
-            rt.translationCycles = rt.pageWalks = 0;
-            rt.shootdowns = rt.migrations = 0;
-            rt.latency.reset();
-        }
-        departures = migrations = stormShootdowns = 0;
-    }
-
-    // Measured phase.
-    std::vector<Cycles> start_clocks(cores);
-    for (unsigned core = 0; core < cores; ++core)
-        start_clocks[core] = lanes[core].clock;
-    runPhase(engineConfig.refsPerCore);
-
-    ScenarioResult result;
-    result.run.cores.resize(cores);
-    for (unsigned core = 0; core < cores; ++core) {
-        CoreRunStats &stats = result.run.cores[core];
-        const Lane &lane = lanes[core];
-        const Mmu &mmu = *lane.mmu;
-        stats.refs = engineConfig.refsPerCore;
-        stats.instructions = lane.instructions;
-        stats.cycles = lane.clock - start_clocks[core];
-        stats.translationCycles = mmu.totalTranslationCycles();
-        stats.l1TlbHits = mmu.l1HitCount();
-        stats.l2TlbHits = mmu.l2HitCount();
-        stats.lastLevelTlbMisses = mmu.lastLevelMissCount();
-        stats.avgPenaltyPerMiss = mmu.avgPenaltyPerMiss();
-        stats.pageWalks = lane.pageWalks;
-        stats.shootdowns = lane.shootdowns;
-    }
-
-    result.tenants.reserve(tenants.size());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        const ResolvedTenant &tenant = tenants[i];
-        const TenantRuntime &rt = runtimes[i];
-        TenantResult out;
-        out.name = tenant.name;
-        out.benchmark = tenant.benchmark;
-        out.vm = tenant.vm;
-        out.pidBase = tenant.pidBase;
-        out.vcpus = tenant.vcpus;
-        out.arrivalRefs = tenant.arrivalRefs;
-        out.departureRefs = tenant.departureRefs;
-        out.departed = rt.departed;
-        out.refs = rt.refs;
-        out.l1TlbHits = rt.l1Hits;
-        out.l2TlbHits = rt.l2Hits;
-        out.lastLevelTlbMisses = rt.misses;
-        out.translationCycles = rt.translationCycles;
-        out.pageWalks = rt.pageWalks;
-        out.shootdowns = rt.shootdowns;
-        out.migrations = rt.migrations;
-        out.translationLatency = rt.latency;
-        result.tenants.push_back(std::move(out));
-    }
-    result.departures = departures;
-    result.migrations = migrations;
-    result.stormShootdowns = stormShootdowns;
-
-    // The captures can be hundreds of megabytes at scale; do not
-    // hold them between runs (a later run() re-captures).
-    streams.releaseCaptures();
-    return result;
 }
 
 ScenarioResult
@@ -995,220 +632,30 @@ buildScenarioDocument(Machine &machine, const ScenarioSpec &spec,
 // Campaigns: memoized, checkpointed scenario batches
 // ---------------------------------------------------------------
 
-namespace
-{
-
-/** Journal/cache key of a scenario: "name/scheme". */
-std::string
-scenarioKey(const ScenarioSpec &spec)
-{
-    return spec.name + "/" + canonicalScheme(spec.scheme);
-}
-
-/** Build the machine, run the scenario, return its document. */
 JsonValue
-executeScenario(const ScenarioSpec &spec)
+runScenarioCampaign(const std::vector<ScenarioSpec> &specs,
+                    const SweepServiceOptions &options,
+                    SweepServiceStats *stats, const JobEmit &emit)
 {
-    Machine machine(spec.system, spec.scheme);
-    ScenarioEngine engine(machine, spec);
-    const ScenarioResult result = engine.run();
-    return buildScenarioDocument(machine, spec, result);
-}
-
-} // namespace
-
-JsonValue
-runScenarioCampaign(
-    const std::vector<ScenarioSpec> &specs,
-    const ScenarioCampaignOptions &options,
-    SweepServiceStats *stats,
-    const std::function<void(const ScenarioJobReport &,
-                             const JsonValue &)> &emit)
-{
-    const std::size_t count = specs.size();
+    std::vector<std::string> hashes;
+    std::vector<std::string> keys;
+    for (const ScenarioSpec &spec : specs) {
+        hashes.push_back(scenarioHash(spec));
+        keys.push_back(spec.name + "/" + canonicalScheme(spec.scheme));
+    }
     SweepServiceStats accounting;
-    accounting.jobs = count;
-
-    std::vector<std::string> hashes(count);
-    for (std::size_t i = 0; i < count; ++i)
-        hashes[i] = scenarioHash(specs[i]);
-
-    // Owner = the first index of each distinct hash; duplicates
-    // reuse the owner's document (identical identity implies an
-    // identical result).
-    std::map<std::string, std::vector<std::size_t>> by_hash;
-    for (std::size_t i = 0; i < count; ++i)
-        by_hash[hashes[i]].push_back(i);
-
-    std::unique_ptr<SweepCache> cache;
-    if (!options.cacheDir.empty())
-        cache = std::make_unique<SweepCache>(options.cacheDir);
-
-    std::unique_ptr<SweepJournal> journal;
-    std::map<std::string, JsonValue> replayed;
-    if (!options.journalPath.empty()) {
-        journal =
-            std::make_unique<SweepJournal>(options.journalPath);
-        replayed = journal->open(sweepHash(hashes), count);
-    }
-
-    std::vector<JsonValue> entries(count);
-    std::vector<char> ready(count, 0);
-    std::vector<JobSource> origins(count, JobSource::Executed);
-    std::vector<double> walls(count, 0.0);
-
-    // Emission frontier: emit() fires for index i only once every
-    // j <= i is ready, so consumers see a strictly growing prefix.
-    std::size_t frontier = 0;
-    const auto drain = [&] {
-        while (frontier < count && ready[frontier]) {
-            if (emit) {
-                ScenarioJobReport report;
-                report.index = frontier;
-                report.name = specs[frontier].name;
-                report.hash = hashes[frontier];
-                report.source = origins[frontier];
-                report.wallSeconds = walls[frontier];
-                emit(report, entries[frontier]);
-            }
-            ++frontier;
-        }
-    };
-
-    const auto resolve = [&](const std::string &hash,
-                             JsonValue document, JobSource source,
-                             double wall) {
-        const std::vector<std::size_t> &indices = by_hash[hash];
-        for (const std::size_t index : indices) {
-            entries[index] = document;
-            origins[index] = source;
-            walls[index] = index == indices.front() ? wall : 0.0;
-            ready[index] = 1;
-        }
-        accounting.deduplicated += indices.size() - 1;
-        drain();
-    };
-
-    // Pass 1: satisfy whatever the journal and cache already hold.
-    std::vector<std::size_t> pending_owner;
-    for (const auto &[hash, indices] : by_hash) {
-        const std::size_t owner = indices.front();
-        if (const auto hit = replayed.find(hash);
-            hit != replayed.end()) {
-            ++accounting.journalHits;
-            resolve(hash, hit->second, JobSource::Journal, 0.0);
-            continue;
-        }
-        if (cache) {
-            if (std::optional<JsonValue> entry =
-                    cache->lookup(hash)) {
-                ++accounting.cacheHits;
-                if (journal) {
-                    journal->append(hash, scenarioKey(specs[owner]),
-                                    "cache", 0.0, *entry);
-                }
-                resolve(hash, std::move(*entry), JobSource::Cache,
-                        0.0);
-                continue;
-            }
-        }
-        pending_owner.push_back(owner);
-    }
-
-    // Pass 2: execute only the delta on a worker pool. Completions
-    // serialise on one mutex (cache/journal/frontier state), and the
-    // documents carry no wall time, so the assembled output is
-    // byte-identical at any worker count and any source mix.
-    if (!pending_owner.empty()) {
-        unsigned workers =
-            options.jobs ? options.jobs
-                         : std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-        workers = static_cast<unsigned>(std::min<std::size_t>(
-            workers, pending_owner.size()));
-
-        std::atomic<std::size_t> next{0};
-        std::mutex mutex;
-        std::vector<std::exception_ptr> errors(
-            pending_owner.size());
-
-        const auto worker = [&] {
-            for (;;) {
-                const std::size_t pending =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (pending >= pending_owner.size())
-                    return;
-                const std::size_t owner = pending_owner[pending];
-                JsonValue document;
-                const auto start =
-                    std::chrono::steady_clock::now();
-                try {
-                    document = executeScenario(specs[owner]);
-                } catch (...) {
-                    errors[pending] = std::current_exception();
-                    continue;
-                }
-                const double wall =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-
-                std::lock_guard<std::mutex> lock(mutex);
-                if (cache) {
-                    cache->store(hashes[owner],
-                                 scenarioKey(specs[owner]),
-                                 document);
-                }
-                if (journal) {
-                    journal->append(hashes[owner],
-                                    scenarioKey(specs[owner]),
-                                    "executed", wall, document);
-                }
-                ++accounting.executed;
-                resolve(hashes[owner], std::move(document),
-                        JobSource::Executed, wall);
-                if (options.crashAfterAppends != 0 && journal &&
-                    journal->appended() >=
-                        options.crashAfterAppends) {
-                    // Fault injection: vanish mid-campaign with no
-                    // cleanup, exactly like a SIGKILL would.
-                    std::_Exit(137);
-                }
-            }
-        };
-
-        if (workers == 1) {
-            worker();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (unsigned w = 0; w < workers; ++w)
-                pool.emplace_back(worker);
-            for (std::thread &thread : pool)
-                thread.join();
-        }
-
-        // Deterministic failure: the lowest pending index wins, the
-        // way SweepRunner reports (completed work is journaled, so
-        // a failed campaign resumes past everything that worked).
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-    }
-
-    if (cache)
-        accounting.quarantined = cache->quarantined();
+    JsonValue document = runMemoizedJobs(
+        kScenarioSchemaV1, hashes, keys, options,
+        [&](std::size_t index) {
+            const ScenarioSpec &spec = specs[index];
+            Machine machine(spec.system, spec.scheme);
+            ScenarioEngine engine(machine, spec);
+            const ScenarioResult result = engine.run();
+            return buildScenarioDocument(machine, spec, result);
+        },
+        emit, accounting);
     if (stats)
         *stats = accounting;
-
-    JsonValue runs = JsonValue::array();
-    for (std::size_t i = 0; i < count; ++i)
-        runs.push(std::move(entries[i]));
-    JsonValue document = JsonValue::object();
-    document.set("schema", kScenarioSchemaV1);
-    document.set("runs", std::move(runs));
     return document;
 }
 

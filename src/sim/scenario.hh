@@ -13,7 +13,7 @@
  * — and ScenarioEngine compiles it down to the existing machine via
  * the VM-ID/ASID tagging the SRAM TLBs already carry.
  *
- * Compilation model:
+ * Compilation model (sim/core_loop.hh runs the result):
  *
  *  - every tenant vCPU becomes one TenantStream
  *    (trace/interleave.hh) pinned to home core `stream_id % cores`;
@@ -21,11 +21,11 @@
  *    tenant arrival/departure boundaries into segments, and each
  *    segment is round-robin time-sliced (`timeSliceRefs` references
  *    per quantum) among the streams resident in it;
- *  - the per-reference execution loop is operation-for-operation the
- *    one in SimulationEngine::runPhase, so a scenario with a single
- *    always-resident tenant whose vCPUs cover every core reproduces
- *    the classic engine **byte-identically** (golden-checked in
- *    tests/test_scenario.cc);
+ *  - a classic run (sim/engine.hh) compiles to the same
+ *    representation and runs on the same core loop, so a scenario
+ *    with a single always-resident tenant whose vCPUs cover every
+ *    core compiles to exactly the classic run and reproduces its
+ *    stats **byte-identically** (checked in tests/test_scenario.cc);
  *  - tenant lifecycle events are modeled OS work: an arrival migrates
  *    pages (unmap + shootdown + remap), a mid-run departure broadcasts
  *    a VM-wide shootdown, and an optional storm schedule shoots down
@@ -35,10 +35,11 @@
  *    set that stays mapped when guests' combined footprints exceed
  *    physical memory.
  *
- * The steady-state per-reference path allocates nothing (the PR 3
- * invariant): slice switches are index bumps into a precompiled
- * schedule, and per-tenant statistics are fixed counters plus a
- * Log2Histogram sample. Scenarios sustain 100–1000 tenants per run.
+ * The steady-state per-reference path allocates nothing: slice
+ * switches are index bumps into a precompiled schedule, and
+ * per-tenant statistics are taken at slice boundaries plus one
+ * Log2Histogram sample per reference. Scenarios sustain 100–1000
+ * tenants per run.
  *
  * Results export as the versioned `pomtlb-scenario-v1` document
  * (per-tenant hit ratios and translation-cycle p50/p95/p99 QoS
@@ -52,7 +53,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,9 +60,9 @@
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/core_loop.hh"
 #include "sim/engine.hh"
 #include "sim/sweep_cache.hh"
-#include "trace/interleave.hh"
 
 namespace pomtlb
 {
@@ -121,45 +121,6 @@ struct TenantSpec
         return *this;
     }
     ///@}
-};
-
-/**
- * TLB-shootdown storm schedule: every @c intervalRefs references
- * machine-wide, @c pagesPerBurst consecutive pages starting at the
- * triggering reference's page are shot down across all cores, each
- * charging EngineConfig::shootdownCycles to the initiating core.
- * 0 disables storms.
- */
-struct StormSpec
-{
-    std::uint64_t intervalRefs = 0;
-    unsigned pagesPerBurst = 8;
-};
-
-/**
- * A tenant after resolution: every defaulted field made concrete.
- * This is the canonical form — the identity JSON (and therefore the
- * scenario hash) is built from it, so an explicit tenant list and a
- * generator producing the same tenants hash identically.
- */
-struct ResolvedTenant
-{
-    std::string name;
-    std::string benchmark;
-    unsigned vcpus = 1;
-    VmId vm = 1;
-    ProcessId pidBase = 1;
-    std::uint64_t arrivalRefs = 0;
-    /** Clamped to the per-core run length (0 resolved to it). */
-    std::uint64_t departureRefs = 0;
-    /** Effective resident footprint (after overcommit), in bytes. */
-    Addr footprintBytes = 0;
-    /** From the profile: vCPUs share one address space. */
-    bool multithreaded = false;
-    /** Trace pack backing this tenant's streams ("" = generator). */
-    std::string tracePack;
-    /** First pack stream; vCPU @c v reads stream base + v. */
-    std::uint32_t traceStreamBase = 0;
 };
 
 /** A whole consolidation scenario, declaratively. */
@@ -259,50 +220,10 @@ struct ScenarioSpec
     ///@}
 };
 
-/** Measured-phase results of one tenant. */
-struct TenantResult
-{
-    std::string name;
-    std::string benchmark;
-    VmId vm = 1;
-    ProcessId pidBase = 1;
-    unsigned vcpus = 1;
-    std::uint64_t arrivalRefs = 0;
-    std::uint64_t departureRefs = 0;
-    /** Whether the tenant departed (mid-run shootdown happened). */
-    bool departed = false;
-
-    std::uint64_t refs = 0;
-    std::uint64_t l1TlbHits = 0;
-    std::uint64_t l2TlbHits = 0;
-    std::uint64_t lastLevelTlbMisses = 0;
-    std::uint64_t translationCycles = 0;
-    std::uint64_t pageWalks = 0;
-    std::uint64_t shootdowns = 0;
-    std::uint64_t migrations = 0;
-    /** Per-reference translation-cycle distribution (QoS tail). */
-    Log2Histogram translationLatency;
-};
-
-/** Whole-scenario results. */
-struct ScenarioResult
-{
-    /** Per-core stats, exactly as the classic engine reports them. */
-    RunResult run;
-    /** Per-tenant results, in resolved-tenant order. */
-    std::vector<TenantResult> tenants;
-    /** Mid-run tenant departures in the measured phase. */
-    std::uint64_t departures = 0;
-    /** Pages migrated in the measured phase. */
-    std::uint64_t migrations = 0;
-    /** Storm-schedule shootdowns in the measured phase. */
-    std::uint64_t stormShootdowns = 0;
-};
-
 /**
  * Drives one scenario through one machine. Construction compiles
- * the spec (streams + per-core slice schedules); run() executes
- * warmup and measured phases exactly like SimulationEngine::run.
+ * the spec (streams + per-core slice schedules); run() executes it
+ * on the core loop, warmup then measured phase.
  */
 class ScenarioEngine
 {
@@ -344,94 +265,15 @@ class ScenarioEngine
     /** The resolved tenants this engine compiled. */
     const std::vector<ResolvedTenant> &resolved() const
     {
-        return tenants;
+        return loop.tenants();
     }
 
   private:
-    /** One scheduled quantum of one stream on one core. */
-    struct Slice
-    {
-        std::uint32_t stream = 0;
-        std::uint64_t length = 0;
-        /** First quantum of the stream (arrival actions fire). */
-        bool firstOfStream = false;
-        /** Last quantum of the stream (departure accounting). */
-        bool lastOfStream = false;
-    };
-
-    /** Per-tenant runtime accounting (fixed storage, hot-path safe). */
-    struct TenantRuntime
-    {
-        explicit TenantRuntime(const std::string &group_name)
-            : group(group_name)
-        {
-        }
-
-        std::uint64_t refs = 0;
-        std::uint64_t l1Hits = 0;
-        std::uint64_t l2Hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t translationCycles = 0;
-        std::uint64_t pageWalks = 0;
-        std::uint64_t shootdowns = 0;
-        std::uint64_t migrations = 0;
-        Log2Histogram latency;
-        bool departed = false;
-        /** Streams still scheduled (departure fires at zero). */
-        unsigned activeStreams = 0;
-        /** Arrival actions already performed (or not needed). */
-        bool arrivalDone = false;
-        /** Whether the tenant departs before the run ends. */
-        bool departsMidRun = false;
-        StatGroup group;
-    };
-
-    /** Per-core execution lane (mirrors SimulationEngine::Lane). */
-    struct Lane
-    {
-        Cycles clock = 0;
-        std::uint64_t phaseDone = 0;
-        /** References left in the current slice. */
-        std::uint64_t sliceLeft = 0;
-        /** Index into the core's slice schedule. */
-        std::size_t sliceIndex = 0;
-        TenantStream *cursor = nullptr;
-        Mmu *mmu = nullptr;
-        InstCount instructions = 0;
-        std::uint64_t pageWalks = 0;
-        std::uint64_t shootdowns = 0;
-    };
-
-    void buildStreams();
-    void buildSchedule();
-    void buildRegistry();
-    void prepopulate();
-    void runPhase(std::uint64_t target);
-    /** Switch @p lane to its next slice (lifecycle events fire). */
-    void advanceSlice(Lane &lane, unsigned core, Cycles &clock);
-    /** Arrival page migrations for tenant @p tenant_index. */
-    void migratePages(unsigned tenant_index, Lane &lane,
-                      Cycles &clock);
-
-    Machine &machine;
-    ScenarioSpec spec;
-    EngineConfig engineConfig;
-    std::uint64_t totalPerCore = 0;
-    std::vector<ResolvedTenant> tenants;
-    TenantStreamSet streams;
-    /** schedule[core] = that core's slice sequence. */
-    std::vector<std::vector<Slice>> schedule;
-    /** Stable-address tenant runtimes (StatGroup is pinned). */
-    std::deque<TenantRuntime> runtimes;
+    CoreLoop loop;
+    /** One group per tenant (a StatGroup must not move). */
+    std::deque<StatGroup> tenantGroups;
     StatGroup tenantsGroup{"tenants"};
     StatsRegistry scenarioRegistry;
-    std::vector<Lane> lanes;
-    bool captured = false;
-    std::uint64_t refsSinceShootdown = 0;
-    std::uint64_t refsSinceStorm = 0;
-    std::uint64_t departures = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t stormShootdowns = 0;
 };
 
 /**
@@ -476,50 +318,26 @@ JsonValue buildScenarioDocument(Machine &machine,
                                 const ScenarioSpec &spec,
                                 const ScenarioResult &result);
 
-/** Per-scenario completion report of a campaign run. */
-struct ScenarioJobReport
-{
-    std::size_t index = 0;      /**< Position in the spec vector. */
-    std::string name;           /**< ScenarioSpec::name. */
-    std::string hash;           /**< The scenario's content hash. */
-    JobSource source = JobSource::Executed; /**< Result origin. */
-    /** Host wall seconds actually spent (0 for cache/journal). */
-    double wallSeconds = 0.0;
-};
-
-/** Knobs of one scenario campaign (mirrors SweepServiceOptions). */
-struct ScenarioCampaignOptions
-{
-    /** Result-cache directory; empty disables memoization. */
-    std::string cacheDir;
-    /** Checkpoint-journal path; empty disables checkpointing. */
-    std::string journalPath;
-    /** Worker threads (0 = all hardware threads). */
-    unsigned jobs = 1;
-    /** Fault injection: _Exit(137) after this many journal appends. */
-    unsigned crashAfterAppends = 0;
-};
-
 /**
- * Run a list of scenarios as a memoized, checkpointed campaign:
- * every spec is content-hashed, satisfied from the journal or the
- * result cache when possible, and only the delta executes (on a
- * small worker pool). Results emit strictly in request order and
+ * Run a list of scenarios as a memoized, checkpointed campaign on the
+ * shared job pipeline (runMemoizedJobs in sim/sweep_cache.hh): every
+ * spec is content-hashed (scenarioHash), satisfied from the journal
+ * or the result cache when possible, and only the delta executes on
+ * the SweepRunner pool. Results emit strictly in request order, and
  * the returned document — `{"schema": "pomtlb-scenario-v1",
- * "runs": [...]}`  — is byte-identical at any worker count and any
- * cache/journal/execution mix.
+ * "runs": [...]}` — is byte-identical at any worker count and any
+ * cache/journal/execution mix. Job reports carry the key
+ * "name/scheme".
  *
  * @param specs   The campaign, in emission order.
- * @param options Cache/journal/worker knobs.
+ * @param options Cache/journal/worker knobs (SweepService semantics).
  * @param stats   Optional out-param for the campaign accounting.
  * @param emit    Optional per-scenario callback (request order).
  */
-JsonValue runScenarioCampaign(
-    const std::vector<ScenarioSpec> &specs,
-    const ScenarioCampaignOptions &options,
-    SweepServiceStats *stats = nullptr,
-    const std::function<void(const ScenarioJobReport &,
-                             const JsonValue &)> &emit = {});
+JsonValue runScenarioCampaign(const std::vector<ScenarioSpec> &specs,
+                              const SweepServiceOptions &options,
+                              SweepServiceStats *stats = nullptr,
+                              const JobEmit &emit = {});
 
 } // namespace pomtlb
 

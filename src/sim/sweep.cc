@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -316,50 +315,33 @@ SweepRunner::SweepRunner(unsigned jobs)
 {
 }
 
-std::vector<ExperimentResult>
-SweepRunner::run(const std::vector<ExperimentRequest> &requests,
-                 const JobCallback &on_result) const
+void
+SweepRunner::forEach(std::size_t count,
+                     const std::function<void(std::size_t)> &job) const
 {
-    std::vector<ExperimentResult> results(requests.size());
-    if (requests.empty())
-        return results;
-
     const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(workerCount, requests.size()));
-
+        std::min<std::size_t>(workerCount, count));
     if (workers <= 1) {
         // Serial reference path: identical job code, no threads.
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            results[i] = runExperiment(requests[i]);
-            if (on_result)
-                on_result(i, results[i]);
-        }
-        return results;
+        for (std::size_t i = 0; i < count; ++i)
+            job(i);
+        return;
     }
 
     // Work-stealing by atomic index: each worker claims the next
-    // unclaimed request. results[i] is written only by the claimant
-    // of i, so no locks are needed; the join is the only
-    // synchronisation point the results are read across. Callback
-    // invocations alone are serialised, so checkpoint/stream
-    // consumers need no lock of their own.
+    // unclaimed job, so a job's outputs are written only by its
+    // claimant; the join is the synchronisation point they are read
+    // across.
     std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(requests.size());
-    std::mutex callback_mutex;
-
+    std::vector<std::exception_ptr> errors(count);
     auto worker = [&] {
         while (true) {
             const std::size_t index =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (index >= requests.size())
+            if (index >= count)
                 return;
             try {
-                results[index] = runExperiment(requests[index]);
-                if (on_result) {
-                    const std::lock_guard<std::mutex> lock(
-                        callback_mutex);
-                    on_result(index, results[index]);
-                }
+                job(index);
             } catch (...) {
                 errors[index] = std::current_exception();
             }
@@ -374,11 +356,19 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests,
         thread.join();
 
     // Deterministic error reporting: rethrow the failure of the
-    // lowest-indexed request, regardless of completion order.
+    // lowest-indexed job, regardless of completion order.
     for (const std::exception_ptr &error : errors)
         if (error)
             std::rethrow_exception(error);
+}
 
+std::vector<ExperimentResult>
+SweepRunner::run(const std::vector<ExperimentRequest> &requests) const
+{
+    std::vector<ExperimentResult> results(requests.size());
+    forEach(requests.size(), [&](std::size_t index) {
+        results[index] = runExperiment(requests[index]);
+    });
     return results;
 }
 

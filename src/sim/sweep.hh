@@ -15,7 +15,8 @@
  *    one run and its outcome, with a fluent builder for overrides;
  *  - SweepSpec — the declarative cross product, expand()ed to
  *    requests;
- *  - SweepRunner — the worker pool;
+ *  - SweepRunner — the worker pool (also runs the memoized campaign
+ *    pipeline's jobs, sim/sweep_cache.hh);
  *  - SweepResultWriter — JSON serialisation for
  *    scripts/plot_results.py, round-trippable through
  *    SweepResultWriter::fromJson.
@@ -212,29 +213,21 @@ class SweepRunner
     /** The resolved worker count (never 0). */
     unsigned jobs() const { return workerCount; }
 
-    /**
-     * Invoked as each job finishes, in *completion* order (the
-     * result vector stays in request order regardless). Calls are
-     * serialised by the runner, so the callback may touch shared
-     * state (journals, sockets) without its own lock; it must not
-     * throw. This is the hook the sweep-at-scale service
-     * (sim/sweep_cache.hh) uses to checkpoint and stream results.
-     */
-    using JobCallback =
-        std::function<void(std::size_t index,
-                           const ExperimentResult &result)>;
-
     /** Run every request; results land in request order. */
     std::vector<ExperimentResult>
-    run(const std::vector<ExperimentRequest> &requests) const
-    {
-        return run(requests, JobCallback());
-    }
+    run(const std::vector<ExperimentRequest> &requests) const;
 
-    /** run() with a serialised per-completion callback. */
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentRequest> &requests,
-        const JobCallback &on_result) const;
+    /**
+     * Run @p job(i) for every i in [0, count) on the pool: workers
+     * claim the next unclaimed index. With one worker the jobs run
+     * serially on the calling thread and the first exception
+     * propagates at once; otherwise every job runs and the exception
+     * of the lowest failing index is rethrown after the join. This is
+     * the pool the memoized campaign pipeline (sim/sweep_cache.hh)
+     * executes its delta on.
+     */
+    void forEach(std::size_t count,
+                 const std::function<void(std::size_t)> &job) const;
 
     /** Expand a spec and run it. */
     std::vector<ExperimentResult> run(const SweepSpec &spec) const

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 #include <unistd.h>
@@ -566,22 +567,19 @@ jobSourceName(JobSource source)
     return "unknown";
 }
 
-SweepService::SweepService(SweepServiceOptions service_options)
-    : serviceOptions(std::move(service_options))
-{
-}
-
 JsonValue
-SweepService::run(const std::vector<ExperimentRequest> &requests,
-                  const Emit &emit)
+runMemoizedJobs(const char *schema,
+                const std::vector<std::string> &hashes,
+                const std::vector<std::string> &keys,
+                const SweepServiceOptions &options,
+                const JobExecute &execute, const JobEmit &emit,
+                SweepServiceStats &stats)
 {
-    const std::size_t count = requests.size();
-    lastStats = SweepServiceStats{};
-    lastStats.jobs = count;
-
-    std::vector<std::string> hashes(count);
-    for (std::size_t i = 0; i < count; ++i)
-        hashes[i] = jobHash(requests[i]);
+    simAssert(keys.size() == hashes.size(),
+              "memoized jobs need one key per hash");
+    const std::size_t count = hashes.size();
+    stats = SweepServiceStats{};
+    stats.jobs = count;
 
     // Owner = the first index of each distinct hash; duplicates
     // reuse the owner's entry (identical identity implies an
@@ -591,15 +589,13 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
         by_hash[hashes[i]].push_back(i);
 
     std::unique_ptr<SweepCache> cache;
-    if (!serviceOptions.cacheDir.empty())
-        cache = std::make_unique<SweepCache>(
-            serviceOptions.cacheDir);
+    if (!options.cacheDir.empty())
+        cache = std::make_unique<SweepCache>(options.cacheDir);
 
     std::unique_ptr<SweepJournal> journal;
     std::map<std::string, JsonValue> replayed;
-    if (!serviceOptions.journalPath.empty()) {
-        journal = std::make_unique<SweepJournal>(
-            serviceOptions.journalPath);
+    if (!options.journalPath.empty()) {
+        journal = std::make_unique<SweepJournal>(options.journalPath);
         replayed = journal->open(sweepHash(hashes), count);
     }
 
@@ -616,7 +612,7 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
             if (emit) {
                 SweepJobReport report;
                 report.index = frontier;
-                report.key = requests[frontier].key();
+                report.key = keys[frontier];
                 report.hash = hashes[frontier];
                 report.source = sources[frontier];
                 report.wallSeconds = walls[frontier];
@@ -635,91 +631,109 @@ SweepService::run(const std::vector<ExperimentRequest> &requests,
             walls[index] = index == indices.front() ? wall : 0.0;
             ready[index] = 1;
         }
-        lastStats.deduplicated += indices.size() - 1;
+        stats.deduplicated += indices.size() - 1;
         drain();
     };
 
     // Pass 1: satisfy whatever the journal and cache already hold.
-    std::vector<std::size_t> pending_owner;
-    std::vector<ExperimentRequest> pending_requests;
+    std::vector<std::size_t> pending;
     for (const auto &[hash, indices] : by_hash) {
         const std::size_t owner = indices.front();
         if (const auto hit = replayed.find(hash);
             hit != replayed.end()) {
-            ++lastStats.journalHits;
+            ++stats.journalHits;
             resolve(hash, hit->second, JobSource::Journal, 0.0);
             continue;
         }
         if (cache) {
             if (std::optional<JsonValue> entry =
                     cache->lookup(hash)) {
-                ++lastStats.cacheHits;
+                ++stats.cacheHits;
                 if (journal) {
-                    journal->append(hash, requests[owner].key(),
-                                    "cache", 0.0, *entry);
+                    journal->append(hash, keys[owner], "cache", 0.0,
+                                    *entry);
                 }
                 resolve(hash, std::move(*entry), JobSource::Cache,
                         0.0);
                 continue;
             }
         }
-        pending_owner.push_back(owner);
-        pending_requests.push_back(requests[owner]);
+        pending.push_back(owner);
     }
 
-    // Pass 2: execute only the delta, checkpointing and streaming
-    // as each job completes. The callback runs serialised by the
-    // runner, so cache/journal/frontier state needs no extra lock.
-    if (!pending_requests.empty()) {
-        const SweepRunner runner(serviceOptions.jobs);
-        runner.run(
-            pending_requests,
-            [&](std::size_t pending_index,
-                const ExperimentResult &result) {
-                const std::size_t owner =
-                    pending_owner[pending_index];
-                const std::string &hash = hashes[owner];
-                // Identity form: wall_seconds is host noise, and
-                // cached bytes must be independent of which run
-                // produced them. Real wall time travels in the
-                // journal record and the job report instead.
-                ExperimentResult identity = result;
-                identity.wallSeconds = 0.0;
-                const JsonValue entry =
-                    SweepResultWriter::entryToJson(identity);
-                if (cache) {
-                    cache->store(hash, requests[owner].key(),
-                                 entry);
-                }
-                if (journal) {
-                    journal->append(hash, requests[owner].key(),
-                                    "executed", result.wallSeconds,
-                                    entry);
-                }
-                ++lastStats.executed;
-                resolve(hash, entry, JobSource::Executed,
-                        result.wallSeconds);
-                if (serviceOptions.crashAfterAppends != 0 &&
-                    journal &&
-                    journal->appended() >=
-                        serviceOptions.crashAfterAppends) {
-                    // Fault injection: vanish mid-campaign with no
-                    // cleanup, exactly like a SIGKILL would.
-                    std::_Exit(137);
-                }
-            });
-    }
+    // Pass 2: execute only the delta on the SweepRunner pool,
+    // checkpointing and streaming as each job completes. Completions
+    // serialise on one mutex (cache/journal/frontier state); entries
+    // carry no wall time, so the document is byte-identical at any
+    // worker count and any source mix.
+    std::mutex completion;
+    SweepRunner(options.jobs).forEach(
+        pending.size(), [&](std::size_t pending_index) {
+            const std::size_t owner = pending[pending_index];
+            const auto start = std::chrono::steady_clock::now();
+            JsonValue entry = execute(owner);
+            const double wall =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+
+            const std::lock_guard<std::mutex> lock(completion);
+            const std::string &hash = hashes[owner];
+            if (cache)
+                cache->store(hash, keys[owner], entry);
+            if (journal) {
+                journal->append(hash, keys[owner], "executed", wall,
+                                entry);
+            }
+            ++stats.executed;
+            resolve(hash, std::move(entry), JobSource::Executed, wall);
+            if (options.crashAfterAppends != 0 && journal &&
+                journal->appended() >= options.crashAfterAppends) {
+                // Fault injection: vanish mid-campaign with no
+                // cleanup, exactly like a SIGKILL would.
+                std::_Exit(137);
+            }
+        });
 
     if (cache)
-        lastStats.quarantined = cache->quarantined();
+        stats.quarantined = cache->quarantined();
 
     JsonValue runs = JsonValue::array();
-    for (std::size_t i = 0; i < count; ++i)
-        runs.push(std::move(entries[i]));
+    for (JsonValue &entry : entries)
+        runs.push(std::move(entry));
     JsonValue document = JsonValue::object();
-    document.set("schema", kSweepSchemaV1);
+    document.set("schema", schema);
     document.set("runs", std::move(runs));
     return document;
+}
+
+SweepService::SweepService(SweepServiceOptions service_options)
+    : serviceOptions(std::move(service_options))
+{
+}
+
+JsonValue
+SweepService::run(const std::vector<ExperimentRequest> &requests,
+                  const Emit &emit)
+{
+    std::vector<std::string> hashes;
+    std::vector<std::string> keys;
+    for (const ExperimentRequest &request : requests) {
+        hashes.push_back(jobHash(request));
+        keys.push_back(request.key());
+    }
+    return runMemoizedJobs(
+        kSweepSchemaV1, hashes, keys, serviceOptions,
+        [&](std::size_t index) {
+            // Identity form: wall_seconds is host noise, and cached
+            // bytes must be independent of which run produced them.
+            // Real wall time travels in the journal record and the
+            // job report instead.
+            ExperimentResult result = runExperiment(requests[index]);
+            result.wallSeconds = 0.0;
+            return SweepResultWriter::entryToJson(result);
+        },
+        emit, lastStats);
 }
 
 } // namespace pomtlb

@@ -29,9 +29,12 @@
  *    are served from it, a torn trailing record (the crash write)
  *    is truncated away, and only the remainder executes.
  *
- * SweepService orchestrates the three around SweepRunner and emits
- * results *incrementally in request order*, which is what the
- * `pomtlb serve` protocol (sim/sweep_serve.hh) streams to clients.
+ * runMemoizedJobs is the one pipeline that orchestrates the three
+ * around the SweepRunner pool and emits results *incrementally in
+ * request order*, which is what the `pomtlb serve` protocol
+ * (sim/sweep_serve.hh) streams to clients. SweepService (sweep jobs)
+ * and runScenarioCampaign (sim/scenario.hh) are thin adapters over
+ * it that supply the job hashes, keys and execute function.
  *
  * Determinism contract: a service-built document is byte-identical
  * whether every job executed, came from the cache, came from the
@@ -243,7 +246,8 @@ const char *jobSourceName(JobSource source);
 struct SweepJobReport
 {
     std::size_t index = 0;  /**< Position in the request vector. */
-    std::string key;        /**< "benchmark/scheme[/label]". */
+    /** "benchmark/scheme[/label]", or "name/scheme" for a scenario. */
+    std::string key;
     std::string hash;       /**< The job's content hash. */
     JobSource source = JobSource::Executed; /**< Result origin. */
     /** Host wall seconds actually spent (0 for cache/journal). */
@@ -251,9 +255,10 @@ struct SweepJobReport
 };
 
 /**
- * Aggregate accounting of one SweepService::run(). Each distinct
- * job hash counts once, under where its result came from; every
- * further request with that hash counts in @c deduplicated, so
+ * Aggregate accounting of one campaign (SweepService::run or
+ * runScenarioCampaign). Each distinct job hash counts once, under
+ * where its result came from; every further request with that hash
+ * counts in @c deduplicated, so
  * executed + cacheHits + journalHits + deduplicated == jobs.
  */
 struct SweepServiceStats
@@ -266,14 +271,17 @@ struct SweepServiceStats
     std::size_t quarantined = 0;  /**< Corrupt cache entries moved. */
 };
 
-/** Knobs of one SweepService. */
+/** Knobs of one campaign (SweepService or runScenarioCampaign). */
 struct SweepServiceOptions
 {
     /** Result-cache directory; empty disables memoization. */
     std::string cacheDir;
     /** Checkpoint-journal path; empty disables checkpointing. */
     std::string journalPath;
-    /** Worker threads (SweepRunner semantics: 0 = hardware). */
+    /**
+     * Worker threads, resolved by SweepRunner::resolveJobs (0 =
+     * POMTLB_SWEEP_JOBS, else all hardware threads).
+     */
     unsigned jobs = 1;
     /**
      * Fault injection for the crash/resume tests (and the
@@ -285,32 +293,60 @@ struct SweepServiceOptions
 };
 
 /**
- * Orchestrates a campaign: hash every request, satisfy what the
- * journal and cache already hold, execute only the delta on a
- * SweepRunner pool, checkpoint every completion, and emit results
- * incrementally in request order.
+ * Called for every job of a campaign, strictly in request order, as
+ * the completed prefix of the campaign extends — cached prefixes
+ * stream out before (and while) later jobs execute. @p run is the
+ * job's result entry in identity form.
+ */
+using JobEmit = std::function<void(const SweepJobReport &report,
+                                   const JsonValue &run)>;
+
+/**
+ * Executes job @p index of a campaign and returns its result entry
+ * in identity form (no host wall time in it). May run on any worker
+ * thread; it must not touch state shared with other jobs.
+ */
+using JobExecute = std::function<JsonValue(std::size_t index)>;
+
+/**
+ * The memoized-job pipeline every campaign runs on. Given each job's
+ * content hash and human-readable key, it replays the checkpoint
+ * journal, probes the result cache, deduplicates equal hashes,
+ * executes only the remaining delta on a SweepRunner pool of
+ * @c options.jobs workers, stores and journals every completion
+ * (honouring @c options.crashAfterAppends), emits every job in
+ * request order, and accounts the campaign in @p stats.
+ *
+ * Returns `{"schema": schema, "runs": [...]}` with one entry per
+ * job in request order — byte-identical for any cache/journal/
+ * execution mix and any worker count. A failing job propagates the
+ * deterministic lowest-index exception of SweepRunner::forEach;
+ * completed jobs are already journaled by then, so a failed campaign
+ * resumes past everything that succeeded.
+ */
+JsonValue runMemoizedJobs(const char *schema,
+                          const std::vector<std::string> &hashes,
+                          const std::vector<std::string> &keys,
+                          const SweepServiceOptions &options,
+                          const JobExecute &execute,
+                          const JobEmit &emit,
+                          SweepServiceStats &stats);
+
+/**
+ * A campaign of sweep jobs: runMemoizedJobs over ExperimentRequests,
+ * hashed by jobHash and keyed "benchmark/scheme[/label]".
  */
 class SweepService
 {
   public:
     explicit SweepService(SweepServiceOptions service_options);
 
-    /**
-     * Called for every job, strictly in request order, as the
-     * completed prefix of the campaign extends — cached prefixes
-     * stream out before (and while) later jobs execute. @p run is
-     * the job's `pomtlb-sweep-v1` entry in identity form.
-     */
-    using Emit = std::function<void(const SweepJobReport &report,
-                                    const JsonValue &run)>;
+    /** Per-job callback (see JobEmit); @c run is a sweep entry. */
+    using Emit = JobEmit;
 
     /**
      * Run the campaign; returns the complete `pomtlb-sweep-v1`
-     * document (byte-identical for any cache/journal/execution
-     * mix of the same requests). Propagates the deterministic
-     * lowest-index exception of SweepRunner on job failure;
-     * completed jobs are already journaled at that point, so a
-     * failed campaign resumes past everything that succeeded.
+     * document (see runMemoizedJobs for the guarantees).
      */
     JsonValue run(const std::vector<ExperimentRequest> &requests,
                   const Emit &emit = Emit());

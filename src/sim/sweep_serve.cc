@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <istream>
+#include <map>
 #include <ostream>
+#include <set>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -29,6 +31,58 @@ stringField(const JsonValue &request, const std::string &field)
         throw ServeError("request needs string field '" + field +
                          "'");
     return request.at(field).asString();
+}
+
+/**
+ * @p value (request field @p field) as an unsigned integer; a
+ * wrong kind or a number outside [0, 2^64) is a ServeError that
+ * names the field.
+ */
+std::uint64_t
+uintValue(const JsonValue &value, const std::string &field)
+{
+    try {
+        return value.asUint();
+    } catch (const std::logic_error &error) {
+        throw ServeError("field '" + field + "': " + error.what());
+    }
+}
+
+/**
+ * The keys a request with op @p op may carry, or nullptr for an
+ * unknown op (docs/sweep-service.md §4 lists them).
+ */
+const std::set<std::string> *
+requestKeys(const std::string &op)
+{
+    static const std::map<std::string, std::set<std::string>> keys =
+        [] {
+            const std::set<std::string> config{
+                "op", "cores", "refs_per_core", "warmup_refs_per_core",
+                "seed", "pom_capacity_mb", "mode", "jobs"};
+            const auto with = [&](std::set<std::string> extra) {
+                extra.insert(config.begin(), config.end());
+                return extra;
+            };
+            return std::map<std::string, std::set<std::string>>{
+                {"ping", {"op"}},
+                {"list", {"op"}},
+                {"stats", {"op"}},
+                {"shutdown", {"op"}},
+                {"sweep",
+                 with({"benchmarks", "schemes", "component_stats"})},
+                {"run", with({"benchmark", "scheme", "component_stats"})},
+                {"scenario",
+                 with({"tenants", "scheme", "tenant_benchmarks", "name",
+                       "churn_interval_refs", "resident_per_core",
+                       "overcommit_factor",
+                       "migration_pages_per_arrival",
+                       "storm_interval_refs", "storm_pages_per_burst",
+                       "time_slice_refs"})},
+            };
+        }();
+    const auto it = keys.find(op);
+    return it == keys.end() ? nullptr : &it->second;
 }
 
 /**
@@ -67,23 +121,20 @@ ExperimentConfig
 configFromRequest(const JsonValue &request)
 {
     ExperimentConfig config = defaultExperimentConfig();
-    if (request.has("cores")) {
-        config.system.numCores = static_cast<unsigned>(
-            request.at("cores").asUint());
-    }
-    if (request.has("refs_per_core")) {
-        config.engine.refsPerCore =
-            request.at("refs_per_core").asUint();
-    }
-    if (request.has("warmup_refs_per_core")) {
-        config.engine.warmupRefsPerCore =
-            request.at("warmup_refs_per_core").asUint();
-    }
+    const auto field = [&](const char *name) {
+        return uintValue(request.at(name), name);
+    };
+    if (request.has("cores"))
+        config.system.numCores = static_cast<unsigned>(field("cores"));
+    if (request.has("refs_per_core"))
+        config.engine.refsPerCore = field("refs_per_core");
+    if (request.has("warmup_refs_per_core"))
+        config.engine.warmupRefsPerCore = field("warmup_refs_per_core");
     if (request.has("seed"))
-        config.engine.seed = request.at("seed").asUint();
+        config.engine.seed = field("seed");
     if (request.has("pom_capacity_mb")) {
-        config.system.pomTlb.capacityBytes =
-            request.at("pom_capacity_mb").asUint() << 20;
+        config.system.pomTlb.capacityBytes = field("pom_capacity_mb")
+                                             << 20;
     }
     if (request.has("mode")) {
         const std::string &mode = request.at("mode").asString();
@@ -183,7 +234,7 @@ ServeSession::handleSweep(const JsonValue &request)
     options.jobs = serveOptions.jobs;
     if (request.has("jobs")) {
         options.jobs = static_cast<unsigned>(
-            request.at("jobs").asUint());
+            uintValue(request.at("jobs"), "jobs"));
     }
     options.crashAfterAppends = serveOptions.crashAfterAppends;
 
@@ -234,9 +285,9 @@ ServeSession::handleScenario(const JsonValue &request)
     const JsonValue &tenants = request.at("tenants");
     if (tenants.isArray()) {
         for (const JsonValue &element : tenants.elements())
-            counts.push_back(element.asUint());
+            counts.push_back(uintValue(element, "tenants"));
     } else {
-        counts.push_back(tenants.asUint());
+        counts.push_back(uintValue(tenants, "tenants"));
     }
     if (counts.empty())
         throw ServeError("field 'tenants' must not be empty");
@@ -262,7 +313,7 @@ ServeSession::handleScenario(const JsonValue &request)
     const ExperimentConfig config = configFromRequest(request);
     auto uintField = [&](const char *field,
                          std::uint64_t fallback) -> std::uint64_t {
-        return request.has(field) ? request.at(field).asUint()
+        return request.has(field) ? uintValue(request.at(field), field)
                                   : fallback;
     };
     const std::string base_name =
@@ -296,12 +347,12 @@ ServeSession::handleScenario(const JsonValue &request)
         specs.push_back(std::move(spec));
     }
 
-    ScenarioCampaignOptions options;
+    SweepServiceOptions options;
     options.cacheDir = serveOptions.cacheDir;
     options.jobs = serveOptions.jobs;
     if (request.has("jobs")) {
         options.jobs = static_cast<unsigned>(
-            request.at("jobs").asUint());
+            uintValue(request.at("jobs"), "jobs"));
     }
     options.crashAfterAppends = serveOptions.crashAfterAppends;
 
@@ -323,12 +374,12 @@ ServeSession::handleScenario(const JsonValue &request)
     SweepServiceStats stats;
     runScenarioCampaign(
         specs, options, &stats,
-        [&](const ScenarioJobReport &report, const JsonValue &run) {
+        [&](const SweepJobReport &report, const JsonValue &run) {
             JsonValue event = JsonValue::object();
             event.set("event", "scenario-job");
             event.set("index", std::uint64_t(report.index));
             event.set("jobs", std::uint64_t(total));
-            event.set("name", report.name);
+            event.set("name", specs[report.index].name);
             event.set("scenario_hash", report.hash);
             event.set("source", jobSourceName(report.source));
             event.set("wall_seconds", report.wallSeconds);
@@ -350,6 +401,14 @@ ServeSession::handleRequest(const JsonValue &request)
     if (!request.isObject())
         throw ServeError("request must be a JSON object");
     const std::string op = stringField(request, "op");
+    if (const std::set<std::string> *allowed = requestKeys(op)) {
+        for (const auto &[key, value] : request.members()) {
+            if (allowed->count(key) == 0) {
+                throw ServeError("unknown key '" + key +
+                                 "' for op '" + op + "'");
+            }
+        }
+    }
 
     if (op == "ping") {
         JsonValue event = JsonValue::object();

@@ -1,21 +1,19 @@
 /**
  * @file
- * Per-tenant interleaved trace streams for the scenario engine.
+ * Per-tenant interleaved trace streams for the core loop.
  *
- * A consolidation scenario time-shares each simulated core between
- * many tenant vCPU streams. Every stream keeps its own buffered
- * cursor into its TraceSource — current block, position, consumed
- * count — so the scenario engine can park a stream mid-block at a
- * time-slice boundary and resume it later without disturbing the
- * stream's content. The buffering discipline (block size, capture
- * cap, replay slices) mirrors sim/engine.cc exactly, which is what
- * makes a degenerate single-tenant scenario reproduce the classic
- * engine byte-for-byte.
+ * Every run (sim/core_loop.hh) executes as a set of streams: one per
+ * core for a classic run, one per tenant vCPU for a consolidation
+ * scenario, which time-shares each simulated core between many of
+ * them. Every stream keeps its own buffered cursor into its
+ * TraceSource — current block, position, consumed count — so the
+ * loop can park a stream mid-block at a time-slice boundary and
+ * resume it later without disturbing the stream's content.
  *
  * A stream's records are captured during pre-population (when every
  * stream fits the per-stream cap) and replayed by the timed run, or
  * re-generated through a per-stream scratch block when any stream is
- * too long — the same two regimes as SimulationEngine.
+ * too long.
  */
 
 #ifndef POMTLB_TRACE_INTERLEAVE_HH
@@ -68,9 +66,8 @@ struct TenantStream
 };
 
 /**
- * The set of tenant streams of one scenario: storage, the
- * capture-or-stream decision, and the block refill discipline —
- * the multi-tenant twin of SimulationEngine's per-core lanes.
+ * The set of streams of one run: storage, the capture-or-stream
+ * decision, and the block refill discipline.
  */
 class TenantStreamSet
 {
@@ -79,8 +76,10 @@ class TenantStreamSet
     static constexpr std::uint64_t streamBlockRecords = 1024;
 
     /**
-     * Pre-population captures a stream for replay unless it exceeds
-     * this many records (the cap sim/engine.cc applies per core).
+     * Pre-population captures the streams for replay unless one
+     * exceeds this many records (4 Mi records = 64 MB); longer runs
+     * re-generate the streams instead, trading generator time for
+     * bounded memory.
      */
     static constexpr std::uint64_t replayCapRecords =
         std::uint64_t{1} << 22;
@@ -119,7 +118,7 @@ class TenantStreamSet
      * Refill @p stream's exhausted block: a zero-copy slice of the
      * capture (everything not yet consumed — one refill per run), or
      * one fill() of the scratch block. Fatal if the stream is
-     * exhausted, exactly like SimulationEngine::refill.
+     * exhausted.
      */
     void refill(TenantStream &stream);
 

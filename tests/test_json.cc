@@ -105,6 +105,30 @@ TEST(Json, RejectsNonFiniteNumbers)
         std::logic_error);
 }
 
+TEST(Json, AsUintRejectsNumbersOutsideUint64)
+{
+    // Casting these to uint64_t is undefined behaviour; each must
+    // throw the named error instead (it is a std::logic_error too).
+    const double bad[] = {1.5e30,
+                          18446744073709551616.0, // 2^64
+                          -1.0,
+                          2.5,
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+    for (const double value : bad)
+        EXPECT_THROW(JsonValue(value).asUint(), JsonRangeError)
+            << value;
+    // 18446744073709551615 parses to the nearest double, 2^64.
+    EXPECT_THROW(JsonValue::parse("18446744073709551615").asUint(),
+                 JsonRangeError);
+    EXPECT_THROW(JsonValue::parse("1.5e30").asUint(), JsonRangeError);
+
+    // The largest double below 2^64 still converts exactly.
+    EXPECT_EQ(JsonValue(18446744073709549568.0).asUint(),
+              std::uint64_t{18446744073709549568u});
+    EXPECT_EQ(JsonValue::parse("0").asUint(), 0u);
+}
+
 TEST(Json, DoubleRoundTripIsLossless)
 {
     // %.17g preserves every IEEE-754 double exactly.

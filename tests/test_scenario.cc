@@ -516,7 +516,7 @@ TEST(ScenarioCampaign, RerunByteIdenticalAcrossCacheAndJobs)
     const std::vector<ScenarioSpec> specs = {churnSpec(4),
                                              churnSpec(8)};
 
-    ScenarioCampaignOptions options;
+    SweepServiceOptions options;
     options.cacheDir = scratch.sub("cache");
     options.jobs = 1;
     SweepServiceStats stats;
@@ -533,7 +533,7 @@ TEST(ScenarioCampaign, RerunByteIdenticalAcrossCacheAndJobs)
     EXPECT_EQ(cold.dump(2), warm.dump(2));
 
     // A different worker count in a pristine cache changes nothing.
-    ScenarioCampaignOptions wide;
+    SweepServiceOptions wide;
     wide.cacheDir = scratch.sub("cache-wide");
     wide.jobs = 4;
     const JsonValue parallel =
@@ -549,7 +549,7 @@ TEST(ScenarioCampaign, DuplicatesCountOncePerHash)
     const ScenarioSpec b = churnSpec(8);
     const std::vector<ScenarioSpec> specs = {a, b, a};
 
-    ScenarioCampaignOptions options;
+    SweepServiceOptions options;
     options.cacheDir = scratch.sub("cache");
     options.jobs = 1;
     SweepServiceStats stats;
@@ -580,7 +580,7 @@ TEST(ScenarioCampaign, KilledCampaignResumesByteIdentical)
     const std::vector<ScenarioSpec> specs = {churnSpec(4),
                                              churnSpec(8)};
 
-    ScenarioCampaignOptions options;
+    SweepServiceOptions options;
     options.cacheDir = scratch.sub("cache");
     options.journalPath = scratch.sub("scenario.journal");
     options.jobs = 1;
@@ -591,7 +591,7 @@ TEST(ScenarioCampaign, KilledCampaignResumesByteIdentical)
     const pid_t child = fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        ScenarioCampaignOptions crashing = options;
+        SweepServiceOptions crashing = options;
         crashing.crashAfterAppends = 1;
         runScenarioCampaign(specs, crashing);
         std::_Exit(0); // not reached: the hook fires first
@@ -611,7 +611,7 @@ TEST(ScenarioCampaign, KilledCampaignResumesByteIdentical)
 
     // The resumed document is byte-identical to an uninterrupted
     // campaign in a pristine cache.
-    ScenarioCampaignOptions pristine;
+    SweepServiceOptions pristine;
     pristine.cacheDir = scratch.sub("cache-reference");
     pristine.jobs = 1;
     const JsonValue reference = runScenarioCampaign(specs, pristine);

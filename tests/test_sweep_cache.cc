@@ -645,6 +645,73 @@ TEST(ServeSession, ReportsErrorsAndKeepsServing)
     EXPECT_EQ(events[4].at("event").asString(), "pong");
 }
 
+TEST(ServeSession, RejectsOutOfRangeNumbersBeforeHashing)
+{
+    // Each of these once ran (as refs 0, seed 0, ...) and was hashed
+    // and cached; now each is an error event naming the field, and
+    // nothing reaches the cache or the journal.
+    ScratchDir scratch("serve-range");
+    ServeOptions options;
+    options.cacheDir = scratch.sub("cache");
+    options.journalDir = scratch.sub("journals");
+    const std::vector<JsonValue> events = serve(
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 2, "
+        "\"refs_per_core\": 1.5e30}\n"
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 2, "
+        "\"seed\": 18446744073709551615}\n"
+        "{\"op\": \"scenario\", \"tenants\": [1, 1e300]}\n"
+        "{\"op\": \"sweep\", \"benchmarks\": [\"mcf\"], "
+        "\"jobs\": -1}\n"
+        "{\"op\": \"ping\"}\n",
+        options);
+    ASSERT_EQ(events.size(), 6u);
+    const char *const fields[] = {"refs_per_core", "seed", "tenants",
+                                  "jobs"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const JsonValue &event = events[i + 1];
+        EXPECT_EQ(event.at("event").asString(), "error");
+        EXPECT_FALSE(event.has("job_hash"));
+        EXPECT_NE(event.at("message").asString().find(
+                      "field '" + std::string(fields[i]) + "'"),
+                  std::string::npos)
+            << event.at("message").asString();
+    }
+    EXPECT_EQ(events[5].at("event").asString(), "pong");
+    EXPECT_FALSE(fs::exists(options.cacheDir));
+    EXPECT_FALSE(fs::exists(options.journalDir));
+}
+
+TEST(ServeSession, RejectsUnknownRequestKeys)
+{
+    const std::vector<JsonValue> events = serve(
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 2, "
+        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200, "
+        "\"bogus\": 1}\n"
+        "{\"op\": \"ping\", \"verbose\": true}\n"
+        "{\"op\": \"scenario\", \"tenants\": 1, "
+        "\"component_stats\": true}\n"
+        "{\"op\": \"sweep\", \"benchmark\": \"mcf\"}\n"
+        "{\"op\": \"stats\"}\n",
+        ServeOptions{});
+    ASSERT_EQ(events.size(), 6u);
+    const char *const keys[] = {"bogus", "verbose", "component_stats",
+                                "benchmark"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const JsonValue &event = events[i + 1];
+        EXPECT_EQ(event.at("event").asString(), "error");
+        EXPECT_NE(event.at("message").asString().find(
+                      "unknown key '" + std::string(keys[i]) + "'"),
+                  std::string::npos)
+            << event.at("message").asString();
+    }
+    // Nothing ran: no campaign has been accounted.
+    EXPECT_EQ(events[5].at("event").asString(), "stats");
+    EXPECT_EQ(events[5].at("stats").at("jobs").asUint(), 0u);
+}
+
 TEST(ServeSession, StreamsCampaignsAndServesRepeatsFromCache)
 {
     ScratchDir scratch("serve-sweep");

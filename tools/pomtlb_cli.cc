@@ -830,7 +830,7 @@ commandScenario(const CliOptions &options)
                     options.tracePackRecord.c_str());
     }
 
-    ScenarioCampaignOptions campaign;
+    SweepServiceOptions campaign;
     campaign.cacheDir = options.cacheDir;
     campaign.journalPath = options.journalPath;
     campaign.jobs = options.jobs;
@@ -844,10 +844,10 @@ commandScenario(const CliOptions &options)
     const std::size_t total = specs.size();
     const JsonValue document = runScenarioCampaign(
         specs, campaign, &service_stats,
-        [&](const ScenarioJobReport &report, const JsonValue &) {
+        [&](const SweepJobReport &report, const JsonValue &) {
             std::fprintf(stderr, "  [%zu/%zu] %s (%s)\n",
                          report.index + 1, total,
-                         report.name.c_str(),
+                         specs[report.index].name.c_str(),
                          jobSourceName(report.source));
         });
     const double wall =
