@@ -33,9 +33,8 @@ TsbScheme::TsbScheme(const TsbConfig &config, Addr base_addr,
     stageEntries = total_entries / config.accessesPerTranslation;
     simAssert(isPowerOfTwo(stageEntries),
               "TSB stage entry count must be a power of two");
-    stages.resize(config.accessesPerTranslation);
-    for (auto &stage : stages)
-        stage.resize(stageEntries);
+    stages = ZeroPageArray<TlbEntry>(config.accessesPerTranslation *
+                                     stageEntries);
 }
 
 std::uint64_t
@@ -56,6 +55,17 @@ TsbScheme::slotAddr(unsigned stage, std::uint64_t index) const
                tsbConfig.entryBytes;
 }
 
+void
+TsbScheme::fill(std::uint64_t index, PageNum vpn, VmId vm, ProcessId pid,
+                PageSize size, PageNum pfn)
+{
+    simAssert(TlbEntry::fits(vpn, pfn), "TSB entry vpn ", vpn,
+              " or pfn ", pfn, " does not fit the 16-byte entry");
+    for (unsigned stage = 0; stage < tsbConfig.accessesPerTranslation;
+         ++stage)
+        slot(stage, index).set(vpn, vm, pid, size, pfn);
+}
+
 SchemeResult
 TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
                          VmId vm, ProcessId pid, Cycles now)
@@ -73,21 +83,22 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     // must match for the translation to complete.
     bool all_match = true;
     PageNum pfn = 0;
-    for (unsigned stage = 0; stage < stages.size(); ++stage) {
+    for (unsigned stage = 0; stage < tsbConfig.accessesPerTranslation;
+         ++stage) {
         const HierarchyAccessResult load = dataHierarchy.accessData(
             core, slotAddr(stage, index), AccessType::Read,
             now + result.cycles);
         result.cycles += load.latency;
         ++result.probes;
 
-        const TlbEntry &entry = stages[stage][index];
+        const TlbEntry &entry = slot(stage, index);
         if (!entry.matches(vpn, vm, pid, size)) {
             all_match = false;
             // The handler knows after this load that the walk is
             // needed; remaining stage loads are skipped.
             break;
         }
-        pfn = entry.pfn;
+        pfn = entry.pfn();
     }
 
     if (all_match) {
@@ -114,14 +125,9 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
 
     // The handler refills the buffer (direct-mapped overwrite); the
     // stores are off the translation's critical path.
-    for (unsigned stage = 0; stage < stages.size(); ++stage) {
-        TlbEntry &entry = stages[stage][index];
-        entry.valid = true;
-        entry.vmId = vm;
-        entry.pid = pid;
-        entry.vpn = vpn;
-        entry.pfn = walk.hostPfn;
-        entry.pageSize = size;
+    fill(index, vpn, vm, pid, size, walk.hostPfn);
+    for (unsigned stage = 0; stage < tsbConfig.accessesPerTranslation;
+         ++stage) {
         dataHierarchy.accessData(core, slotAddr(stage, index),
                                  AccessType::Write,
                                  now + result.cycles);
@@ -146,16 +152,7 @@ TsbScheme::prewarm(CoreId, Addr vaddr, PageSize size, VmId vm,
                    ProcessId pid, PageNum pfn)
 {
     const PageNum vpn = pageNumber(vaddr, size);
-    const std::uint64_t index = indexOf(vpn, vm, pid);
-    for (auto &stage : stages) {
-        TlbEntry &entry = stage[index];
-        entry.valid = true;
-        entry.vmId = vm;
-        entry.pid = pid;
-        entry.vpn = vpn;
-        entry.pfn = pfn;
-        entry.pageSize = size;
-    }
+    fill(indexOf(vpn, vm, pid), vpn, vm, pid, size, pfn);
 }
 
 void
@@ -164,21 +161,20 @@ TsbScheme::invalidatePage(Addr vaddr, PageSize size, VmId vm,
 {
     const PageNum vpn = pageNumber(vaddr, size);
     const std::uint64_t index = indexOf(vpn, vm, pid);
-    for (auto &stage : stages) {
-        TlbEntry &entry = stage[index];
+    for (unsigned stage = 0; stage < tsbConfig.accessesPerTranslation;
+         ++stage) {
+        TlbEntry &entry = slot(stage, index);
         if (entry.matches(vpn, vm, pid, size))
-            entry.valid = false;
+            entry.invalidate();
     }
 }
 
 void
 TsbScheme::invalidateVm(VmId vm)
 {
-    for (auto &stage : stages) {
-        for (auto &entry : stage) {
-            if (entry.valid && entry.vmId == vm)
-                entry.valid = false;
-        }
+    for (TlbEntry &entry : stages) {
+        if (entry.validInVm(vm))
+            entry.invalidate();
     }
     for (auto &walker : pageWalkers)
         walker->invalidateVm(vm);

@@ -21,6 +21,7 @@
 #include "cache/hierarchy.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
+#include "common/zero_page_array.hh"
 #include "pagetable/walker.hh"
 #include "sim/scheme.hh"
 #include "tlb/entry.hh"
@@ -76,6 +77,15 @@ class TsbScheme : public TranslationScheme
     std::uint64_t indexOf(PageNum vpn, VmId vm, ProcessId pid) const;
     /** Host-physical address of a stage slot (for cache timing). */
     Addr slotAddr(unsigned stage, std::uint64_t index) const;
+    /** The buffer entry of a stage slot. */
+    TlbEntry &
+    slot(unsigned stage, std::uint64_t index)
+    {
+        return stages[stage * stageEntries + index];
+    }
+    /** Write (vpn, vm, pid, size) → pfn into every stage at @p index. */
+    void fill(std::uint64_t index, PageNum vpn, VmId vm, ProcessId pid,
+              PageSize size, PageNum pfn);
 
     TsbConfig tsbConfig;
     Addr baseAddr;
@@ -85,11 +95,12 @@ class TsbScheme : public TranslationScheme
     /** Entries per stage (direct-mapped). */
     std::uint64_t stageEntries;
     /**
-     * The buffer content, one direct-mapped array per stage; a
-     * translation completes only when every stage matches, modelling
-     * the multi-access indirect format of real TSB entries.
+     * The buffer content, one direct-mapped array per stage laid out
+     * stage after stage (slot(), matching slotAddr()); a translation
+     * completes only when every stage matches, modelling the
+     * multi-access indirect format of real TSB entries.
      */
-    std::vector<std::vector<TlbEntry>> stages;
+    ZeroPageArray<TlbEntry> stages;
 
     Counter hits;
     Counter misses;

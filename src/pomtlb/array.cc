@@ -1,15 +1,30 @@
 #include "pomtlb/array.hh"
 
 #include "common/log.hh"
+#include "pagetable/memory_map.hh"
 
 namespace pomtlb
 {
 
+// Every host PFN of the default host-physical space fits the entry's
+// PFN field; larger configured spaces are caught by the insert checks.
+static_assert((MemoryMapConfig{}.hostPhysBytes >> smallPageShift) - 1 <=
+                  TlbEntry::maxPfn,
+              "default host-physical space exceeds the 32-bit PFN field");
+
 namespace
 {
 /** The attribute byte's low two bits hold the entry's LRU age. */
-constexpr std::uint8_t lruMask = 0x3;
-constexpr std::uint8_t lruMax = 0x3;
+constexpr std::uint64_t lruMask = std::uint64_t{0x3}
+                                  << TlbEntry::attrShift;
+constexpr std::uint64_t lruOne = std::uint64_t{1} << TlbEntry::attrShift;
+
+/** An entry's 2-bit LRU age, in place in its key word. */
+std::uint64_t
+lruAge(const TlbEntry &entry)
+{
+    return entry.key & lruMask;
+}
 } // namespace
 
 PomTlbPartition::PomTlbPartition(std::string name, std::uint64_t set_count,
@@ -36,14 +51,10 @@ void
 PomTlbPartition::makeYoungest(TlbEntry *base, unsigned way)
 {
     for (unsigned w = 0; w < ways; ++w) {
-        if (w == way) {
-            base[w].attr &= ~lruMask;
-            continue;
-        }
-        const std::uint8_t age = base[w].attr & lruMask;
-        if (age < lruMax)
-            base[w].attr = (base[w].attr & ~lruMask) |
-                           static_cast<std::uint8_t>(age + 1);
+        if (w == way)
+            base[w].key &= ~lruMask;
+        else if (lruAge(base[w]) != lruMask)
+            base[w].key += lruOne;
     }
 }
 
@@ -57,7 +68,7 @@ PomTlbPartition::lookup(std::uint64_t set, PageNum vpn, VmId vm,
         if (base[way].matches(vpn, vm, pid, size)) {
             makeYoungest(base, way);
             ++hitCount;
-            return {true, base[way].pfn};
+            return {true, base[way].pfn()};
         }
     }
     ++missCount;
@@ -69,13 +80,15 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
                         ProcessId pid, PageSize size, PageNum pfn)
 {
     simAssert(set < sets, "POM-TLB set index out of range");
+    simAssert(TlbEntry::fits(vpn, pfn), "POM-TLB entry vpn ", vpn,
+              " or pfn ", pfn, " does not fit the 16-byte entry");
     TlbEntry *base = &entries[set * ways];
     ++insertions;
 
     // Refresh in place when present.
     for (unsigned way = 0; way < ways; ++way) {
         if (base[way].matches(vpn, vm, pid, size)) {
-            base[way].pfn = pfn;
+            base[way].setPfn(pfn);
             makeYoungest(base, way);
             return;
         }
@@ -83,17 +96,17 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
 
     unsigned target = ways;
     for (unsigned way = 0; way < ways; ++way) {
-        if (!base[way].valid) {
+        if (!base[way].valid()) {
             target = way;
             break;
         }
     }
     if (target == ways) {
         // Evict the oldest entry per the in-attr LRU bits.
-        std::uint8_t oldest_age = 0;
+        std::uint64_t oldest_age = 0;
         target = 0;
         for (unsigned way = 0; way < ways; ++way) {
-            const std::uint8_t age = base[way].attr & lruMask;
+            const std::uint64_t age = lruAge(base[way]);
             if (age >= oldest_age) {
                 oldest_age = age;
                 target = way;
@@ -103,13 +116,7 @@ PomTlbPartition::insert(std::uint64_t set, PageNum vpn, VmId vm,
         --validEntries;
     }
 
-    TlbEntry &entry = base[target];
-    entry.valid = true;
-    entry.vmId = vm;
-    entry.pid = pid;
-    entry.vpn = vpn;
-    entry.pfn = pfn;
-    entry.pageSize = size;
+    base[target].set(vpn, vm, pid, size, pfn);
     ++validEntries;
     makeYoungest(base, target);
 }
@@ -122,7 +129,7 @@ PomTlbPartition::invalidatePage(std::uint64_t set, PageNum vpn, VmId vm,
     TlbEntry *base = &entries[set * ways];
     for (unsigned way = 0; way < ways; ++way) {
         if (base[way].matches(vpn, vm, pid, size)) {
-            base[way].valid = false;
+            base[way].invalidate();
             --validEntries;
             return true;
         }
@@ -134,9 +141,9 @@ std::uint64_t
 PomTlbPartition::invalidateVm(VmId vm)
 {
     std::uint64_t dropped = 0;
-    for (auto &entry : entries) {
-        if (entry.valid && entry.vmId == vm) {
-            entry.valid = false;
+    for (TlbEntry &entry : entries) {
+        if (entry.validInVm(vm)) {
+            entry.invalidate();
             ++dropped;
         }
     }

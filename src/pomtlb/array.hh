@@ -13,10 +13,9 @@
 #ifndef POMTLB_POMTLB_ARRAY_HH
 #define POMTLB_POMTLB_ARRAY_HH
 
-#include <vector>
-
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zero_page_array.hh"
 #include "pomtlb/addr_map.hh"
 #include "tlb/entry.hh"
 
@@ -69,13 +68,18 @@ class PomTlbPartition
     const StatGroup &stats() const { return statGroup; }
 
   private:
-    /** Age every other valid entry in the set; set way's age to 0. */
+    /**
+     * Set @p way's age to 0 and age every other way of the set by one
+     * (saturating at 3), whether that way is valid or not. An invalid
+     * way's age is never read: the fill that revalidates it resets it.
+     */
     void makeYoungest(TlbEntry *base, unsigned way);
 
     std::string partitionName;
     std::uint64_t sets;
     unsigned ways;
-    std::vector<TlbEntry> entries;
+    /** sets × ways entries, set-major; one 64 B line per 4-way set. */
+    ZeroPageArray<TlbEntry> entries;
     std::uint64_t validEntries = 0;
 
     Counter hitCount;

@@ -69,7 +69,7 @@ SetAssocTlb::lookup(PageNum vpn, PageSize size, VmId vm, ProcessId pid)
     if (way != ways) {
         touchWay(set, way);
         ++hitCount;
-        return {true, entries[set * ways + way].pfn};
+        return {true, entries[set * ways + way].pfn()};
     }
     ++missCount;
     return {};
@@ -87,6 +87,8 @@ void
 SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
                     PageNum pfn)
 {
+    simAssert(TlbEntry::fits(vpn, pfn), config().name, ": vpn ", vpn,
+              " or pfn ", pfn, " does not fit the 16-byte entry");
     const std::uint64_t set = setIndex(vpn, vm);
     const std::uint64_t base_index = set * ways;
     TlbEntry *base = &entries[base_index];
@@ -102,7 +104,7 @@ SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
     // bit-for-bit.
     const unsigned match = matchWay(set, vpn, size, vm, pid);
     if (match != ways) {
-        base[match].pfn = pfn;
+        base[match].setPfn(pfn);
         touchWay(set, match);
         return;
     }
@@ -116,13 +118,7 @@ SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
         --validEntries;
     }
 
-    TlbEntry &entry = base[target];
-    entry.valid = true;
-    entry.vmId = vm;
-    entry.pid = pid;
-    entry.vpn = vpn;
-    entry.pfn = pfn;
-    entry.pageSize = size;
+    base[target].set(vpn, vm, pid, size, pfn);
     keys[base_index + target] = entryKey(vpn, vm, pid, size);
     ++validEntries;
     touchWay(set, target);
@@ -136,7 +132,7 @@ SetAssocTlb::invalidatePage(PageNum vpn, PageSize size, VmId vm,
     const unsigned way = matchWay(set, vpn, size, vm, pid);
     if (way == ways)
         return false;
-    entries[set * ways + way].valid = false;
+    entries[set * ways + way].invalidate();
     keys[set * ways + way] = 0;
     forgetWay(set, way);
     --validEntries;
@@ -151,8 +147,8 @@ SetAssocTlb::invalidateVm(VmId vm)
     for (std::uint64_t set = 0; set < sets; ++set) {
         TlbEntry *base = &entries[set * ways];
         for (unsigned way = 0; way < ways; ++way) {
-            if (base[way].valid && base[way].vmId == vm) {
-                base[way].valid = false;
+            if (base[way].validInVm(vm)) {
+                base[way].invalidate();
                 keys[set * ways + way] = 0;
                 forgetWay(set, way);
                 --validEntries;
@@ -171,8 +167,8 @@ SetAssocTlb::flush()
     for (std::uint64_t set = 0; set < sets; ++set) {
         TlbEntry *base = &entries[set * ways];
         for (unsigned way = 0; way < ways; ++way) {
-            if (base[way].valid) {
-                base[way].valid = false;
+            if (base[way].valid()) {
+                base[way].invalidate();
                 keys[set * ways + way] = 0;
                 forgetWay(set, way);
                 ++dropped;

@@ -146,9 +146,9 @@ class SetAssocTlb
     /** Per-way packed match keys (entryKey(); 0 = invalid way). */
     std::vector<std::uint64_t> keys;
     /**
-     * Per-way recency stamps for the inlined default-LRU policy
-     * (kept outside TlbEntry, which keeps the paper's 16-byte
-     * Figure 5 layout). Unused when a polymorphic policy is set.
+     * Per-way recency stamps for the inlined default-LRU policy,
+     * kept outside the 16-byte TlbEntry (tlb/entry.hh). Unused when
+     * a polymorphic policy is set.
      */
     std::vector<std::uint64_t> stamps;
     std::uint64_t lruClock = 0;

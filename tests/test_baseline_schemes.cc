@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baseline/nested_scheme.hh"
 #include "baseline/shared_l2_scheme.hh"
 #include "baseline/tsb_scheme.hh"
@@ -159,6 +161,19 @@ TEST(Tsb, PrewarmFillsAllStages)
     const SchemeResult hit = scheme->translateMiss(
         0, vaddr, PageSize::Small4K, 1, 1, 0);
     EXPECT_FALSE(hit.walked);
+}
+
+TEST(Tsb, OversizedPfnFailsLoudly)
+{
+    Machine machine(twoCoreConfig(), "TSB");
+    auto *scheme = dynamic_cast<TsbScheme *>(&machine.scheme());
+    ASSERT_NE(scheme, nullptr);
+    EXPECT_THROW(scheme->prewarm(0, 0x9999000, PageSize::Small4K, 1, 1,
+                                 TlbEntry::maxPfn + 1),
+                 std::logic_error);
+    const SchemeResult miss = scheme->translateMiss(
+        0, 0x9999000, PageSize::Small4K, 1, 1, 0);
+    EXPECT_TRUE(miss.walked);
 }
 
 TEST(Tsb, VmShootdown)

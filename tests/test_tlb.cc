@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "tlb/tlb.hh"
 
 namespace pomtlb
@@ -32,6 +34,24 @@ TEST(Tlb, InsertThenLookup)
         tlb.lookup(0x100, PageSize::Small4K, 1, 2);
     EXPECT_TRUE(hit.hit);
     EXPECT_EQ(hit.pfn, 0x900u);
+}
+
+TEST(Tlb, OversizedFieldsFailLoudly)
+{
+    // A PFN or VPN too wide for the 16-byte entry panics instead of
+    // being truncated.
+    SetAssocTlb tlb(tinyTlb());
+    EXPECT_THROW(tlb.insert(0x100, PageSize::Small4K, 1, 2,
+                            TlbEntry::maxPfn + 1),
+                 std::logic_error);
+    EXPECT_THROW(tlb.insert(TlbEntry::maxVpn + 1, PageSize::Small4K, 1,
+                            2, 0x900),
+                 std::logic_error);
+    EXPECT_EQ(tlb.validEntryCount(), 0u);
+    tlb.insert(TlbEntry::maxVpn, PageSize::Small4K, 1, 2,
+               TlbEntry::maxPfn);
+    EXPECT_EQ(tlb.lookup(TlbEntry::maxVpn, PageSize::Small4K, 1, 2).pfn,
+              TlbEntry::maxPfn);
 }
 
 TEST(Tlb, PageSizeIsPartOfTheTag)
