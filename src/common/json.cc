@@ -1,8 +1,10 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -53,12 +55,14 @@ JsonValue::asNumber() const
 {
     if (!isNumber())
         kindError("number", valueKind);
-    return numValue;
+    return exactUint ? static_cast<double>(uintValue) : numValue;
 }
 
 std::uint64_t
 JsonValue::asUint() const
 {
+    if (exactUint)
+        return uintValue;
     const double value = asNumber();
     // 2^64 is exact as a double; the negated comparisons also catch
     // NaN.
@@ -205,6 +209,17 @@ writeEscaped(std::ostream &os, const std::string &text)
 }
 
 void
+writeUint(std::ostream &os, std::uint64_t value)
+{
+    // Exact digits; for values below 2^53 these are the bytes
+    // writeNumber prints for the same value as a double.
+    char buffer[24];
+    std::snprintf(buffer, sizeof(buffer), "%llu",
+                  static_cast<unsigned long long>(value));
+    os << buffer;
+}
+
+void
 writeNumber(std::ostream &os, double value)
 {
     if (!std::isfinite(value))
@@ -248,7 +263,10 @@ JsonValue::writeIndented(std::ostream &os, int indent,
         os << (boolValue ? "true" : "false");
         break;
       case Kind::Number:
-        writeNumber(os, numValue);
+        if (exactUint)
+            writeUint(os, uintValue);
+        else
+            writeNumber(os, numValue);
         break;
       case Kind::String:
         writeEscaped(os, strValue);
@@ -314,6 +332,18 @@ JsonValue::operator==(const JsonValue &other) const
       case Kind::Bool:
         return boolValue == other.boolValue;
       case Kind::Number:
+        if (exactUint && other.exactUint)
+            return uintValue == other.uintValue;
+        if (exactUint != other.exactUint) {
+            // An exact integer equals a double only if the double is
+            // that very integer (asUint() is exact for both then).
+            const JsonValue &exact = exactUint ? *this : other;
+            const JsonValue &approx = exactUint ? other : *this;
+            const double value = approx.numValue;
+            return value >= 0.0 && value < 18446744073709551616.0 &&
+                   std::floor(value) == value &&
+                   static_cast<std::uint64_t>(value) == exact.uintValue;
+        }
         return numValue == other.numValue;
       case Kind::String:
         return strValue == other.strValue;
@@ -583,7 +613,18 @@ class Parser
         }
         if (!digits)
             fail("invalid number");
-        return JsonValue(std::stod(text.substr(start, pos - start)));
+        const std::string token = text.substr(start, pos - start);
+        if (token.find_first_not_of("0123456789") == std::string::npos) {
+            // Digits only: a non-negative integer, held exactly when
+            // it fits in 64 bits (a larger one stays a double, which
+            // asUint() rejects).
+            errno = 0;
+            const unsigned long long value =
+                std::strtoull(token.c_str(), nullptr, 10);
+            if (errno != ERANGE)
+                return JsonValue(static_cast<std::uint64_t>(value));
+        }
+        return JsonValue(std::stod(token));
     }
 
     const std::string &text;

@@ -7,6 +7,9 @@
  * pulling in an external dependency. Objects preserve insertion
  * order, so serialisation is deterministic; numbers are written with
  * enough precision that doubles survive a write/parse round trip.
+ * Non-negative integers built from a uint64 or parsed from a
+ * digits-only token are held exactly, over the full uint64 range,
+ * so 64-bit seeds and counters round-trip without rounding.
  *
  * Only what the repository needs is implemented: no comments, no
  * NaN/Inf (rejected on write and parse), UTF-8 passed through
@@ -77,7 +80,7 @@ class JsonValue
     {
     }
     JsonValue(std::uint64_t value)
-        : valueKind(Kind::Number), numValue(static_cast<double>(value))
+        : valueKind(Kind::Number), exactUint(true), uintValue(value)
     {
     }
     JsonValue(std::string value)
@@ -104,8 +107,10 @@ class JsonValue
     bool asBool() const;
     double asNumber() const;
     /**
-     * asNumber() as an exact unsigned integer; throws JsonRangeError
-     * unless the number is an integer in [0, 2^64).
+     * The number as an exact unsigned integer; throws JsonRangeError
+     * unless it is an integer in [0, 2^64). Integers held exactly
+     * (see the file comment) come back with every digit, even above
+     * 2^53.
      */
     std::uint64_t asUint() const;
     const std::string &asString() const;
@@ -151,7 +156,10 @@ class JsonValue
 
     Kind valueKind = Kind::Null;
     bool boolValue = false;
+    /** A number held exactly in uintValue rather than numValue. */
+    bool exactUint = false;
     double numValue = 0.0;
+    std::uint64_t uintValue = 0;
     std::string strValue;
     std::vector<JsonValue> arrayValues;
     std::vector<std::pair<std::string, JsonValue>> objectMembers;

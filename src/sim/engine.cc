@@ -62,10 +62,9 @@ defaultSources(const Machine &machine, const BenchmarkProfile &profile,
     if (!config.tracePackPath.empty()) {
         auto pack = std::make_shared<TracePackReader>(
             config.tracePackPath);
-        for (unsigned core = 0; core < cores; ++core) {
-            sources.push_back(std::make_unique<PackStreamSource>(
-                pack, core % pack->streamCount()));
-        }
+        for (unsigned core = 0; core < cores; ++core)
+            sources.push_back(
+                bindPackStream(pack, core % pack->streamCount()));
     } else {
         const std::uint64_t seed =
             config.seed ^ machine.config().seed;

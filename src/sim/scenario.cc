@@ -208,8 +208,8 @@ addStreams(const Machine &machine, const ScenarioSpec &spec,
         for (unsigned v = 0; v < tenant.vcpus; ++v, ++stream_id) {
             TenantStream stream;
             if (pack)
-                stream.source = std::make_unique<PackStreamSource>(
-                    pack, tenant.traceStreamBase + v);
+                stream.source =
+                    bindPackStream(pack, tenant.traceStreamBase + v);
             else
                 stream.source = std::make_unique<GeneratorSource>(
                     profile, CoreId(stream_id), seed);

@@ -25,6 +25,9 @@ constexpr char dirMagic[4] = {'P', 'K', 'S', 'D'};
 constexpr char chunkMagic[4] = {'P', 'K', 'C', 'H'};
 constexpr char indexMagic[8] = {'P', 'K', 'I', 'X', 'P', 'K', 'I',
                                 'X'};
+// Legacy POMT import format (scanLegacyTrace); never written.
+constexpr char legacyMagic[] = "POMT";
+constexpr std::size_t legacyMagicBytes = 4;
 
 constexpr std::uint64_t packHeaderBytes = 128;
 constexpr std::uint64_t chunkHeaderBytes = 64;
@@ -832,10 +835,19 @@ PackStreamSource::recordCount() const
 // Converters and helpers
 // ---------------------------------------------------------------
 
+std::unique_ptr<TraceSource>
+bindPackStream(const std::shared_ptr<TracePackReader> &pack,
+               std::size_t stream)
+{
+    if (pack->stream(stream).records == 0)
+        throw TraceError("trace pack '" + pack->path() + "' stream '" +
+                         pack->stream(stream).name +
+                         "' holds no records; a run cannot replay it");
+    return std::make_unique<PackStreamSource>(pack, stream);
+}
+
 std::uint64_t
-scanLegacyTrace(const std::string &path,
-                const std::function<void(const TraceRecord *,
-                                         std::size_t)> &sink)
+scanLegacyTrace(const std::string &path, const TraceBlockSink &sink)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -856,7 +868,7 @@ scanLegacyTrace(const std::string &path,
 
     unsigned char header[legacyHeaderBytes];
     in.read(reinterpret_cast<char *>(header), legacyHeaderBytes);
-    if (!in || std::memcmp(header, "POMT", 4) != 0)
+    if (!in || std::memcmp(header, legacyMagic, legacyMagicBytes) != 0)
         throw TraceError("'" + path +
                          "' is not a POM-TLB trace file");
     const std::uint32_t version = loadU32(header + 4);
@@ -874,9 +886,8 @@ scanLegacyTrace(const std::string &path,
             std::to_string(needed) + " bytes) but the file holds "
             "only " + std::to_string(fileBytes) + " bytes");
 
-    // One bounded buffer, each record read exactly once — unlike
-    // TraceFileReader, which materialises the whole trace to replay
-    // it. A converter never needs that second copy.
+    // One bounded buffer, each record read exactly once: a
+    // converter never needs the whole trace in memory.
     constexpr std::size_t blockRecords = 1024;
     std::vector<unsigned char> raw(blockRecords * legacyRecordBytes);
     std::vector<TraceRecord> block(blockRecords);
@@ -936,9 +947,7 @@ textError(const std::string &path, std::uint64_t lineNo,
 } // namespace
 
 std::uint64_t
-scanTextTrace(const std::string &path,
-              const std::function<void(const TraceRecord *,
-                                       std::size_t)> &sink)
+scanTextTrace(const std::string &path, const TraceBlockSink &sink)
 {
     std::ifstream in(path);
     if (!in)
@@ -1017,6 +1026,19 @@ scanTextTrace(const std::string &path,
     if (!block.empty())
         sink(block.data(), block.size());
     return total;
+}
+
+std::uint64_t
+scanTraceInput(const std::string &path, const TraceBlockSink &sink)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw TraceError("cannot open trace file '" + path + "'");
+    char magic[legacyMagicBytes] = {};
+    in.read(magic, sizeof(magic));
+    return std::memcmp(magic, legacyMagic, legacyMagicBytes) == 0
+               ? scanLegacyTrace(path, sink)
+               : scanTextTrace(path, sink);
 }
 
 std::string

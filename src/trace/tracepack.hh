@@ -3,14 +3,15 @@
  * The pomtlb-tracepack-v1 container: mmap-able, chunked, multi-stream
  * trace storage.
  *
- * The legacy POMT format (trace/trace_file.hh) stores one unnamed
- * stream of 13-byte packed records and is replayed by slurping the
- * whole file into a std::vector. A trace pack instead holds one or
- * more *named* streams (one per core or per tenant vCPU) in
- * 64-byte-aligned chunks that a reader maps read-only and decodes
- * straight out of the mapping — no up-front copy, O(1) seek and
- * rewind, and per-chunk checksums so corruption is detected instead
- * of silently simulated.
+ * This is the only trace format the simulator replays. A trace pack
+ * holds one or more *named* streams (one per core or per tenant
+ * vCPU) in 64-byte-aligned chunks that a reader maps read-only and
+ * decodes straight out of the mapping — no up-front copy, O(1) seek
+ * and rewind, and per-chunk checksums so corruption is detected
+ * instead of silently simulated. The legacy POMT format (one unnamed
+ * stream of 13-byte records) and the pomtlb-tracetext-v1 text form
+ * are import formats only: scanTraceInput() streams them into a
+ * TracePackWriter (`pomtlb trace pack --in`).
  *
  * On-disk layout (all integers little-endian):
  *
@@ -282,11 +283,12 @@ class TracePackReader
  * TraceSource view of one stream of a shared TracePackReader.
  *
  * fill() decodes records directly from the pack mapping into the
- * caller's block. With wrap on (the default, matching FileSource)
- * the stream restarts after its last record so short traces can
- * drive arbitrarily long simulations; an *empty* stream returns 0
- * regardless, so a mis-wired scenario fails loudly instead of
- * spinning.
+ * caller's block. With wrap on (the default) the stream restarts
+ * after its last record so short traces can drive arbitrarily long
+ * simulations; an *empty* stream returns 0 regardless, so a
+ * mis-wired scenario fails loudly instead of spinning. Runs bind
+ * streams through bindPackStream(), which rejects empty ones up
+ * front.
  */
 class PackStreamSource : public TraceSource
 {
@@ -309,16 +311,31 @@ class PackStreamSource : public TraceSource
 };
 
 /**
- * Stream the records of a legacy POMT trace file through @p sink in
- * fixed-size blocks without buffering the whole file (unlike
- * TraceFileReader's in-memory replay vector — the converter reads
- * each record exactly once). Returns the record count. Throws a
- * path-named, size-reporting TraceError on malformed input.
+ * The source a run binds to one core or vCPU: a wrapping
+ * PackStreamSource over stream @p stream of @p pack. Throws a
+ * TraceError naming the pack path and the stream when the index is
+ * out of range or the stream holds no records, since a run cannot
+ * draw a single reference from an empty stream.
  */
-std::uint64_t
-scanLegacyTrace(const std::string &path,
-                const std::function<void(const TraceRecord *,
-                                         std::size_t)> &sink);
+std::unique_ptr<TraceSource>
+bindPackStream(const std::shared_ptr<TracePackReader> &pack,
+               std::size_t stream);
+
+/** Receives decoded records in blocks from the trace scanners. */
+using TraceBlockSink =
+    std::function<void(const TraceRecord *, std::size_t)>;
+
+/**
+ * Stream the records of a legacy POMT trace file through @p sink in
+ * fixed-size blocks, reading each record exactly once. The format is
+ * a 16-byte header — magic `POMT` | u32 version=1 | u64 record
+ * count — then 13-byte records: u64 vaddr | u32 inst_gap | u8 flags
+ * (bit 0 write, bit 1 2 MB page), all little-endian. Returns the
+ * record count. Throws a path-named, size-reporting TraceError on
+ * malformed input.
+ */
+std::uint64_t scanLegacyTrace(const std::string &path,
+                              const TraceBlockSink &sink);
 
 /**
  * Stream the records of a pomtlb-tracetext-v1 text/CSV trace through
@@ -327,10 +344,16 @@ scanLegacyTrace(const std::string &path,
  * and `#` comments ignored. Returns the record count. Parse errors
  * throw a TraceError naming the path and line number.
  */
-std::uint64_t
-scanTextTrace(const std::string &path,
-              const std::function<void(const TraceRecord *,
-                                       std::size_t)> &sink);
+std::uint64_t scanTextTrace(const std::string &path,
+                            const TraceBlockSink &sink);
+
+/**
+ * Stream any importable trace through @p sink: a file that starts
+ * with the legacy POMT magic goes through scanLegacyTrace(),
+ * anything else through scanTextTrace(). Returns the record count.
+ */
+std::uint64_t scanTraceInput(const std::string &path,
+                             const TraceBlockSink &sink);
 
 /** Render @p record as one pomtlb-tracetext-v1 line (no newline). */
 std::string formatTextRecord(const TraceRecord &record);

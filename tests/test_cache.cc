@@ -1,12 +1,18 @@
 /**
  * @file
  * Set-associative cache tests: hit/miss behaviour, eviction,
- * dirty-line writeback accounting, and TLB-line occupancy tracking.
+ * dirty-line writeback accounting, TLB-line occupancy tracking, and
+ * a differential test against a naive per-set LRU-list model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/rng.hh"
 
 namespace pomtlb
 {
@@ -171,6 +177,209 @@ TEST(Cache, LruOrderRespectsLookups)
     const CacheFillResult fill =
         cache.fill(addrFor(0, 77), LineKind::Data);
     EXPECT_EQ(fill.victimAddr, addrFor(0, 1));
+}
+
+/**
+ * Naive reference model of SetAssocCache: each set is a list of
+ * resident lines from least to most recently used. No stamps, no
+ * sentinel tags, no way indices — so an optimisation of the real
+ * layout cannot hide a change in behaviour behind a matching one
+ * here.
+ */
+class ReferenceCache
+{
+  public:
+    struct Line
+    {
+        Addr line = 0;
+        LineKind kind = LineKind::Data;
+        bool dirty = false;
+    };
+
+    ReferenceCache(std::uint64_t sets, unsigned ways, bool retain_tlb)
+        : lists(sets), ways(ways), retainTlb(retain_tlb)
+    {
+    }
+
+    CacheLookupResult
+    lookup(Addr addr, AccessType type, LineKind probe)
+    {
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        const int k = probe == LineKind::Data ? 0 : 1;
+        if (it == set.end()) {
+            ++misses[k];
+            return {};
+        }
+        Line line = *it;
+        set.erase(it);
+        line.dirty |= type == AccessType::Write;
+        set.push_back(line);
+        ++hits[k];
+        return {true, line.kind};
+    }
+
+    CacheFillResult
+    fill(Addr addr, LineKind kind, bool dirty)
+    {
+        auto &set = setOf(addr);
+        CacheFillResult result;
+        const auto it = find(set, addr);
+        if (it != set.end()) {
+            Line line = *it;
+            set.erase(it);
+            line.dirty |= dirty;
+            line.kind = kind;
+            set.push_back(line);
+            return result;
+        }
+        if (set.size() == ways) {
+            // LRU; the TLB-aware policy prefers the LRU data line.
+            auto victim = set.begin();
+            if (retainTlb) {
+                const auto data = std::find_if(
+                    set.begin(), set.end(), [](const Line &line) {
+                        return line.kind == LineKind::Data;
+                    });
+                if (data != set.end())
+                    victim = data;
+            }
+            result.evicted = true;
+            result.victimAddr = victim->line;
+            result.victimDirty = victim->dirty;
+            result.victimKind = victim->kind;
+            writebacks += victim->dirty ? 1 : 0;
+            set.erase(victim);
+        }
+        set.push_back({lineOf(addr), kind, dirty});
+        return result;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        auto &set = setOf(addr);
+        const auto it = find(set, addr);
+        if (it == set.end())
+            return false;
+        set.erase(it);
+        return true;
+    }
+
+    std::uint64_t
+    flush()
+    {
+        const std::uint64_t dropped = lines().size();
+        for (auto &set : lists)
+            set.clear();
+        return dropped;
+    }
+
+    std::vector<Line>
+    lines() const
+    {
+        std::vector<Line> all;
+        for (const auto &set : lists)
+            all.insert(all.end(), set.begin(), set.end());
+        return all;
+    }
+
+    std::uint64_t hits[2] = {0, 0};   //!< Indexed by probe kind.
+    std::uint64_t misses[2] = {0, 0}; //!< Indexed by probe kind.
+    std::uint64_t writebacks = 0;
+
+  private:
+    static Addr lineOf(Addr addr) { return addr & ~Addr{63}; }
+
+    std::vector<Line> &
+    setOf(Addr addr)
+    {
+        return lists[(addr >> 6) & (lists.size() - 1)];
+    }
+
+    static std::vector<Line>::iterator
+    find(std::vector<Line> &set, Addr addr)
+    {
+        return std::find_if(set.begin(), set.end(),
+                            [&](const Line &line) {
+                                return line.line == lineOf(addr);
+                            });
+    }
+
+    std::vector<std::vector<Line>> lists;
+    std::size_t ways;
+    bool retainTlb;
+};
+
+TEST(Cache, MatchesReferenceModelOnRandomStream)
+{
+    for (const TlbLinePolicy policy :
+         {TlbLinePolicy::None, TlbLinePolicy::RetainTlb}) {
+        SCOPED_TRACE(policy == TlbLinePolicy::None ? "plain LRU"
+                                                   : "retain TLB");
+        const CacheConfig config = tinyCache();
+        SetAssocCache cache(config);
+        cache.setTlbLinePolicy(policy);
+        ReferenceCache ref(config.numSets(), config.associativity,
+                           policy == TlbLinePolicy::RetainTlb);
+        Rng rng(policy == TlbLinePolicy::None ? 1 : 2);
+
+        // Three sets and ten tags per set over four ways, so sets
+        // fill, evict and refill; offsets inside a line must not
+        // matter.
+        for (int op = 0; op < 20000; ++op) {
+            const Addr addr =
+                addrFor(rng.below(3), rng.below(10)) | rng.below(64);
+            const LineKind kind = rng.chance(0.3) ? LineKind::TlbEntry
+                                                  : LineKind::Data;
+            const std::uint64_t draw = rng.below(1000);
+            SCOPED_TRACE("op " + std::to_string(op));
+            if (draw < 450) {
+                const AccessType type = rng.chance(0.3)
+                                            ? AccessType::Write
+                                            : AccessType::Read;
+                const CacheLookupResult got =
+                    cache.lookup(addr, type, kind);
+                const CacheLookupResult want =
+                    ref.lookup(addr, type, kind);
+                ASSERT_EQ(got.hit, want.hit);
+                if (want.hit) {
+                    ASSERT_EQ(got.kind, want.kind);
+                }
+            } else if (draw < 900) {
+                const bool dirty = rng.chance(0.2);
+                const CacheFillResult got =
+                    cache.fill(addr, kind, dirty);
+                const CacheFillResult want = ref.fill(addr, kind, dirty);
+                ASSERT_EQ(got.evicted, want.evicted);
+                if (want.evicted) {
+                    ASSERT_EQ(got.victimAddr, want.victimAddr);
+                    ASSERT_EQ(got.victimDirty, want.victimDirty);
+                    ASSERT_EQ(got.victimKind, want.victimKind);
+                }
+            } else if (draw < 995) {
+                ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr));
+            } else {
+                ASSERT_EQ(cache.flush(), ref.flush());
+            }
+
+            // Same resident lines and kinds, same counters.
+            const auto lines = ref.lines();
+            ASSERT_EQ(cache.validLineCount(), lines.size());
+            std::uint64_t tlb_lines = 0;
+            for (const auto &line : lines) {
+                ASSERT_TRUE(cache.contains(line.line)) << line.line;
+                tlb_lines += line.kind == LineKind::TlbEntry ? 1 : 0;
+            }
+            ASSERT_EQ(cache.tlbLineCount(), tlb_lines);
+            ASSERT_EQ(cache.hitCount(LineKind::Data), ref.hits[0]);
+            ASSERT_EQ(cache.hitCount(LineKind::TlbEntry), ref.hits[1]);
+            ASSERT_EQ(cache.missCount(LineKind::Data), ref.misses[0]);
+            ASSERT_EQ(cache.missCount(LineKind::TlbEntry),
+                      ref.misses[1]);
+            ASSERT_EQ(cache.writebackCount(), ref.writebacks);
+        }
+    }
 }
 
 } // namespace

@@ -10,7 +10,6 @@
 
 #include "sim/engine.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 #include "temp_path.hh"
 
@@ -139,33 +138,6 @@ TEST(Engine, BaselineWalksEveryMiss)
     EXPECT_GT(result.totals().avgPenaltyPerMiss, 0.0);
 }
 
-TEST(Engine, FileSourcesDriveTheMachine)
-{
-    // Record a short synthetic trace, then replay it through the
-    // engine via FileSource; the run must behave like a normal run.
-    const std::string path = uniqueTempPath("replay.pomt");
-    const auto &profile = ProfileRegistry::byName("gups");
-    {
-        TraceGenerator generator(profile, 0, 123);
-        recordTrace(generator, path, 5000);
-    }
-
-    EngineConfig config = quickEngine();
-    config.refsPerCore = 2000;
-    config.warmupRefsPerCore = 1000;
-    Machine machine(twoCores(), "POM-TLB");
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    sources.push_back(std::make_unique<FileSource>(path));
-    sources.push_back(std::make_unique<FileSource>(path));
-    SimulationEngine engine(machine, profile, config,
-                            std::move(sources));
-    const RunResult result = engine.run();
-    EXPECT_EQ(result.totals().refs, 4000u);
-    // Pre-population still covers every page: no walks.
-    EXPECT_LT(result.totals().walkFraction, 0.01);
-    std::remove(path.c_str());
-}
-
 TEST(Engine, PackReplayMatchesTheGeneratorRunExactly)
 {
     const auto &profile = ProfileRegistry::byName("mcf");
@@ -218,6 +190,33 @@ TEST(Engine, PackReplayMatchesTheGeneratorRunExactly)
         EXPECT_EQ(a.cores[i].lastLevelTlbMisses,
                   b.cores[i].lastLevelTlbMisses);
         EXPECT_EQ(a.cores[i].pageWalks, b.cores[i].pageWalks);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Engine, EmptyPackStreamIsANamedTraceError)
+{
+    // Core 0 maps to a stream with no records: binding it must fail
+    // with a TraceError naming the pack and the stream, not abort
+    // the process during pre-population.
+    const std::string path = uniqueTempPath("empty.pack");
+    {
+        TracePackWriter writer(path, {"empty", "full"});
+        TraceRecord record;
+        record.vaddr = 0x1000;
+        writer.append(1, record);
+    }
+    EngineConfig config = quickEngine();
+    config.tracePackPath = path;
+    Machine machine(twoCores(), "POM-TLB");
+    try {
+        SimulationEngine engine(machine, ProfileRegistry::byName("mcf"),
+                                config);
+        FAIL() << "expected TraceError";
+    } catch (const TraceError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("'empty'"), std::string::npos) << what;
     }
     std::remove(path.c_str());
 }

@@ -118,15 +118,58 @@ TEST(Json, AsUintRejectsNumbersOutsideUint64)
     for (const double value : bad)
         EXPECT_THROW(JsonValue(value).asUint(), JsonRangeError)
             << value;
-    // 18446744073709551615 parses to the nearest double, 2^64.
-    EXPECT_THROW(JsonValue::parse("18446744073709551615").asUint(),
+    // 2^64 - 1 lexes exactly; one more does not fit in 64 bits.
+    EXPECT_EQ(JsonValue::parse("18446744073709551615").asUint(),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_THROW(JsonValue::parse("18446744073709551616").asUint(),
                  JsonRangeError);
     EXPECT_THROW(JsonValue::parse("1.5e30").asUint(), JsonRangeError);
+    EXPECT_THROW(JsonValue::parse("-1").asUint(), JsonRangeError);
+    EXPECT_THROW(JsonValue::parse("2.5").asUint(), JsonRangeError);
 
     // The largest double below 2^64 still converts exactly.
     EXPECT_EQ(JsonValue(18446744073709549568.0).asUint(),
               std::uint64_t{18446744073709549568u});
     EXPECT_EQ(JsonValue::parse("0").asUint(), 0u);
+}
+
+TEST(Json, Uint64RoundTripIsExact)
+{
+    // Above 2^53 a double cannot hold every integer; uint64 values
+    // must still write and parse back digit for digit.
+    const std::uint64_t values[] = {
+        (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()};
+    const char *const digits[] = {"9007199254740993",
+                                  "18446744073709551615"};
+    for (int i = 0; i < 2; ++i) {
+        const JsonValue value(values[i]);
+        EXPECT_EQ(value.dump(0), digits[i]);
+        const JsonValue parsed = JsonValue::parse(value.dump(0));
+        EXPECT_EQ(parsed.asUint(), values[i]);
+        EXPECT_EQ(parsed, value);
+        EXPECT_NE(parsed, JsonValue(values[i] - 1));
+    }
+}
+
+TEST(Json, ExactIntegersBelow2To53PrintLikeDoubles)
+{
+    // Exact integers print the bytes a double of the same value
+    // prints, so documents and content hashes built from them are
+    // unchanged.
+    const std::uint64_t values[] = {0,
+                                    1,
+                                    999999999999999,
+                                    1000000000000000,
+                                    (std::uint64_t{1} << 53) - 1,
+                                    std::uint64_t{1} << 53};
+    for (const std::uint64_t v : values) {
+        const JsonValue exact(v);
+        const JsonValue approx(static_cast<double>(v));
+        EXPECT_EQ(exact.dump(0), approx.dump(0)) << v;
+        EXPECT_EQ(exact, approx) << v;
+        EXPECT_EQ(JsonValue::parse(approx.dump(0)), approx) << v;
+    }
 }
 
 TEST(Json, DoubleRoundTripIsLossless)

@@ -7,14 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/perf_model.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
-#include "temp_path.hh"
 
 namespace pomtlb
 {
@@ -84,28 +80,6 @@ TEST(PipelineSmoke, MixedTenantsFlow)
     EXPECT_EQ(result.cores.size(), 2u);
     EXPECT_LT(result.totals().walkFraction, 0.05);
     EXPECT_EQ(machine.memoryMap().vmCount(), 2u);
-}
-
-TEST(PipelineSmoke, RecordReplayFlow)
-{
-    // tools/pomtlb_cli.cc record-trace + replay-trace in miniature.
-    const std::string path = uniqueTempPath("smoke.pomt");
-    {
-        TraceGenerator generator(
-            ProfileRegistry::byName("canneal"), 0, 42);
-        recordTrace(generator, path, 12000);
-    }
-    ExperimentConfig config = smokeConfig();
-    Machine machine(config.system, "POM-TLB");
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    sources.push_back(std::make_unique<FileSource>(path));
-    sources.push_back(std::make_unique<FileSource>(path));
-    SimulationEngine engine(machine,
-                            ProfileRegistry::byName("canneal"),
-                            config.engine, std::move(sources));
-    const RunResult result = engine.run();
-    EXPECT_EQ(result.totals().refs, 10000u);
-    std::remove(path.c_str());
 }
 
 TEST(PipelineSmoke, CompareFlowOrdering)

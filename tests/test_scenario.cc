@@ -22,6 +22,7 @@
 #include "sim/machine.hh"
 #include "sim/scenario.hh"
 #include "sim/stats_export.hh"
+#include "trace/tracepack.hh"
 #include "temp_path.hh"
 
 namespace pomtlb
@@ -365,6 +366,32 @@ TEST(Scenario, PackReplayReproducesTheScenarioExactly)
     // The identities differ on purpose: the replay folds the pack's
     // content hash into the scenario hash.
     EXPECT_NE(scenarioHash(spec), scenarioHash(replay));
+    std::filesystem::remove(path);
+}
+
+TEST(Scenario, EmptyPackStreamIsANamedTraceError)
+{
+    // vCPU 0 maps to a stream with no records: compiling the
+    // scenario must throw a TraceError naming the pack and the
+    // stream instead of aborting during pre-population.
+    const std::string path = uniqueTempPath("empty.pack");
+    {
+        TracePackWriter writer(path, {"empty", "full"});
+        TraceRecord record;
+        record.vaddr = 0x1000;
+        writer.append(1, record);
+    }
+    ScenarioSpec spec = degenerateSpec("mcf");
+    spec.withTracePack(path);
+    Machine machine(spec.system, spec.scheme);
+    try {
+        ScenarioEngine engine(machine, spec);
+        FAIL() << "expected TraceError";
+    } catch (const TraceError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("'empty'"), std::string::npos) << what;
+    }
     std::filesystem::remove(path);
 }
 

@@ -142,6 +142,15 @@ TEST(JobHash, EveryRelevantKnobChangesTheHash)
                   ExecMode::Native)));
 }
 
+TEST(JobHash, SeedsAbove2To53StayDistinct)
+{
+    // 2^53 and 2^53 + 1 are one double; as seeds they are two jobs.
+    const ExperimentRequest base = ExperimentRequest::of("mcf", "pom");
+    const std::uint64_t seed = std::uint64_t{1} << 53;
+    EXPECT_NE(jobHash(ExperimentRequest(base).withSeed(seed)),
+              jobHash(ExperimentRequest(base).withSeed(seed + 1)));
+}
+
 TEST(JobHash, TracePackContentJoinsTheIdentity)
 {
     ScratchDir scratch("jobhash-pack");
@@ -660,7 +669,7 @@ TEST(ServeSession, RejectsOutOfRangeNumbersBeforeHashing)
         "\"refs_per_core\": 1.5e30}\n"
         "{\"op\": \"run\", \"benchmark\": \"mcf\", "
         "\"scheme\": \"pom\", \"cores\": 2, "
-        "\"seed\": 18446744073709551615}\n"
+        "\"seed\": 18446744073709551616}\n"
         "{\"op\": \"scenario\", \"tenants\": [1, 1e300]}\n"
         "{\"op\": \"sweep\", \"benchmarks\": [\"mcf\"], "
         "\"jobs\": -1}\n"
@@ -681,6 +690,35 @@ TEST(ServeSession, RejectsOutOfRangeNumbersBeforeHashing)
     EXPECT_EQ(events[5].at("event").asString(), "pong");
     EXPECT_FALSE(fs::exists(options.cacheDir));
     EXPECT_FALSE(fs::exists(options.journalDir));
+}
+
+TEST(ServeSession, AcceptsSeedsUpTo2To64MinusOneExactly)
+{
+    // 2^64 - 1 and its neighbour round to the same double; each must
+    // run as its own job under its own exact seed.
+    const std::vector<JsonValue> events = serve(
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 2, "
+        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200, "
+        "\"seed\": 18446744073709551615}\n"
+        "{\"op\": \"run\", \"benchmark\": \"mcf\", "
+        "\"scheme\": \"pom\", \"cores\": 2, "
+        "\"refs_per_core\": 400, \"warmup_refs_per_core\": 200, "
+        "\"seed\": 18446744073709551614}\n"
+        "{\"op\": \"shutdown\"}\n",
+        ServeOptions{});
+    std::vector<const JsonValue *> jobs;
+    for (const JsonValue &event : events) {
+        if (event.at("event").asString() == "job")
+            jobs.push_back(&event);
+    }
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0]->at("run").at("seed").asUint(),
+              std::uint64_t{18446744073709551615u});
+    EXPECT_EQ(jobs[1]->at("run").at("seed").asUint(),
+              std::uint64_t{18446744073709551614u});
+    EXPECT_NE(jobs[0]->at("job_hash").asString(),
+              jobs[1]->at("job_hash").asString());
 }
 
 TEST(ServeSession, RejectsUnknownRequestKeys)

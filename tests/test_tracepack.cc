@@ -20,7 +20,6 @@
 #include "common/json.hh"
 #include "trace/error.hh"
 #include "trace/generator.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 #include "temp_path.hh"
 
@@ -53,6 +52,32 @@ writeBytes(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * The legacy POMT import format, written byte by byte: a 16-byte
+ * header (magic | u32 version | u64 count) then 13-byte records
+ * (u64 vaddr | u32 instGap | u8 flags: bit 0 write, bit 1 2 MB).
+ */
+std::string
+pomtBytes(const std::vector<TraceRecord> &records,
+          std::uint32_t version = 1)
+{
+    std::string out = "POMT";
+    const auto put = [&out](std::uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    };
+    put(version, 4);
+    put(records.size(), 8);
+    for (const TraceRecord &record : records) {
+        put(record.vaddr, 8);
+        put(record.instGap, 4);
+        put((record.type == AccessType::Write ? 1u : 0u) |
+                (record.pageSize == PageSize::Large2M ? 2u : 0u),
+            1);
+    }
+    return out;
 }
 
 class TracePackTest : public ::testing::Test
@@ -177,6 +202,42 @@ TEST_F(TracePackTest, PackStreamSourceWrapsLikeFileSource)
     TraceRecord head;
     EXPECT_EQ(source.fill(&head, 1), 1u);
     EXPECT_EQ(head.vaddr, records[0].vaddr);
+}
+
+TEST_F(TracePackTest, PackStreamSourceFillMatchesRepeatedNext)
+{
+    // The TraceSource fill() contract on the replay source: uneven
+    // and zero-length fills interleaved with next(), crossing the
+    // wrap point twice, yield exactly the record sequence of
+    // repeated next(); rewind() replays it from the start.
+    const auto records = syntheticRecords(7, 11);
+    {
+        TracePackWriter writer(path, {"core0"});
+        writer.append(0, records.data(), records.size());
+    }
+    auto reader = std::make_shared<TracePackReader>(path);
+    PackStreamSource batched(reader, 0);
+    PackStreamSource scalar(reader, 0);
+
+    std::vector<TraceRecord> seen;
+    std::vector<TraceRecord> block(8);
+    for (const std::size_t n : {3, 0, 1, 8, 0, 2}) {
+        ASSERT_EQ(batched.fill(block.data(), n), n);
+        seen.insert(seen.end(), block.begin(), block.begin() + n);
+        seen.push_back(batched.next());
+    }
+    ASSERT_EQ(seen.size(), 20u);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        const TraceRecord want = scalar.next();
+        EXPECT_EQ(seen[i].vaddr, want.vaddr) << "record " << i;
+        EXPECT_EQ(seen[i].instGap, want.instGap) << "record " << i;
+        EXPECT_EQ(want.vaddr, records[i % records.size()].vaddr);
+    }
+
+    batched.rewind();
+    ASSERT_EQ(batched.fill(block.data(), 8), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(block[i].vaddr, seen[i].vaddr) << "record " << i;
 }
 
 TEST_F(TracePackTest, PackStreamSourceShortReadsWithoutWrap)
@@ -389,11 +450,7 @@ TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
 {
     const std::string legacy = uniqueTempPath("legacy.pomt");
     const auto records = syntheticRecords(2500, 19);
-    {
-        TraceFileWriter writer(legacy);
-        for (const TraceRecord &record : records)
-            writer.append(record);
-    }
+    writeBytes(legacy, pomtBytes(records));
 
     std::vector<TraceRecord> seen;
     const std::uint64_t count = scanLegacyTrace(
@@ -425,6 +482,77 @@ TEST_F(TracePackTest, LegacyScanStreamsEveryRecordOnce)
             << what;
     }
     std::remove(legacy.c_str());
+}
+
+TEST_F(TracePackTest, LegacyScanNamesEveryBadInputAndDecodesFlags)
+{
+    std::vector<TraceRecord> flagged(4);
+    for (std::size_t i = 0; i < flagged.size(); ++i) {
+        flagged[i].vaddr = 0x40000000 + (i << 21);
+        flagged[i].type = (i & 1) ? AccessType::Write : AccessType::Read;
+        flagged[i].pageSize =
+            (i & 2) ? PageSize::Large2M : PageSize::Small4K;
+    }
+    flagged[1].instGap = 77;
+    flagged[3].instGap = 0xffffffffu;
+    std::string truncated = pomtBytes(std::vector<TraceRecord>(8));
+    truncated.resize(truncated.size() - 6);
+
+    struct Case
+    {
+        const char *name;
+        std::string bytes; //!< File content; empty = no file.
+        std::vector<std::string> errorParts; //!< Empty = must decode.
+    };
+    const std::vector<Case> cases = {
+        {"missing file", "", {"cannot open"}},
+        {"garbage magic",
+         "this is not a trace, but it is long enough for the header",
+         {"is not a POM-TLB trace file"}},
+        {"short header", "POMT", {"4 bytes", "16 bytes"}},
+        {"bad version", pomtBytes(flagged, 7), {"unsupported version 7"}},
+        {"truncated body", truncated,
+         {"8 records", "(120 bytes)",
+          std::to_string(truncated.size()) + " bytes"}},
+        {"flags and inst gaps", pomtBytes(flagged), {}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string file = uniqueTempPath("case.pomt");
+        std::remove(file.c_str());
+        if (!c.bytes.empty())
+            writeBytes(file, c.bytes);
+        std::vector<TraceRecord> seen;
+        const auto sink = [&](const TraceRecord *block, std::size_t n) {
+            seen.insert(seen.end(), block, block + n);
+        };
+        if (c.errorParts.empty()) {
+            EXPECT_EQ(scanLegacyTrace(file, sink), flagged.size());
+            // Format detection routes the file to the same scanner.
+            EXPECT_EQ(scanTraceInput(file, sink), flagged.size());
+            ASSERT_EQ(seen.size(), 2 * flagged.size());
+            for (std::size_t i = 0; i < seen.size(); ++i) {
+                const TraceRecord &want = flagged[i % flagged.size()];
+                EXPECT_EQ(seen[i].vaddr, want.vaddr) << i;
+                EXPECT_EQ(seen[i].instGap, want.instGap) << i;
+                EXPECT_EQ(seen[i].type, want.type) << i;
+                EXPECT_EQ(seen[i].pageSize, want.pageSize) << i;
+            }
+        } else {
+            try {
+                scanLegacyTrace(file, sink);
+                ADD_FAILURE() << "expected TraceError";
+            } catch (const TraceError &error) {
+                const std::string what = error.what();
+                EXPECT_NE(what.find(file), std::string::npos) << what;
+                for (const std::string &part : c.errorParts)
+                    EXPECT_NE(what.find(part), std::string::npos)
+                        << what;
+            }
+            EXPECT_TRUE(seen.empty());
+        }
+        std::remove(file.c_str());
+    }
 }
 
 TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)

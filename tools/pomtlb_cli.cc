@@ -21,13 +21,13 @@
  *                              and/or total size
  *   trace                      trace-pack front end: `trace pack`
  *                              builds a pomtlb-tracepack-v1 file
- *                              from legacy/text traces or from
- *                              generator output, `trace info`
+ *                              from legacy POMT / text traces or
+ *                              from generator output, `trace info`
  *                              describes one, `trace cat` dumps
  *                              records as pomtlb-tracetext-v1
- *                              (docs/trace-format.md)
- *   record-trace               dump a synthetic trace to a file
- *   replay-trace               drive a machine from trace files
+ *                              (docs/trace-format.md); `run` and
+ *                              `scenario` replay packs with
+ *                              --trace-in
  *
  * sweep options:
  *   --jobs N                   worker threads (0 = all hardware
@@ -137,21 +137,12 @@
  *   --trace-record PACK        scenario only: record the compiled
  *                              tenant streams to PACK (one stream
  *                              per vCPU) before running
- *
- * record-trace options:
- *   --benchmark NAME --core N --count N --out FILE
- *
- * replay-trace options:
- *   --trace FILE (repeatable; one per core, reused cyclically)
- *   plus the run options above (--benchmark supplies the workload
- *   metadata the performance model needs)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -171,9 +162,7 @@
 #include "sim/sweep_serve.hh"
 #include "sim/translation_trace.hh"
 #include "trace/error.hh"
-#include "trace/generator.hh"
 #include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/tracepack.hh"
 
 namespace
@@ -202,20 +191,12 @@ struct CliOptions
     std::string statsOutPath;
     std::string traceOutPath;
 
-    // record-trace
-    unsigned core = 0;
-    std::uint64_t count = 100000;
-    std::string outPath = "trace.pomt";
-    bool outPathSet = false;
-
-    // replay-trace
-    std::vector<std::string> tracePaths;
-
     // trace-pack replay and recording (run / scenario)
     std::string tracePackIn;
     std::string tracePackRecord;
 
-    // sweep
+    // sweep / scenario
+    std::string outPath;
     unsigned jobs = 0; // 0 = all hardware threads
     std::string benchmarksList;
     std::string schemesList;
@@ -249,9 +230,9 @@ usage()
     std::fprintf(
         stderr,
         "usage: pomtlb <list|list-schemes|show-config|run|compare|"
-        "sweep|scenario|serve|cache-gc|trace|record-trace|"
-        "replay-trace> [options]\n  see the header of "
-        "tools/pomtlb_cli.cc or the README for the option list\n");
+        "sweep|scenario|serve|cache-gc|trace> [options]\n  see the "
+        "header of tools/pomtlb_cli.cc or the README for the option "
+        "list\n");
     std::exit(2);
 }
 
@@ -329,16 +310,8 @@ parseOptions(int argc, char **argv, int first)
             options.statsOutPath = next();
         else if (arg == "--trace-out")
             options.traceOutPath = next();
-        else if (arg == "--core")
-            options.core = static_cast<unsigned>(parseNumber(next()));
-        else if (arg == "--count")
-            options.count = parseNumber(next());
-        else if (arg == "--out") {
+        else if (arg == "--out")
             options.outPath = next();
-            options.outPathSet = true;
-        }
-        else if (arg == "--trace")
-            options.tracePaths.push_back(next());
         else if (arg == "--trace-in")
             options.tracePackIn = next();
         else if (arg == "--trace-record")
@@ -748,7 +721,7 @@ commandSweep(const CliOptions &options)
                     service_stats.quarantined);
     }
 
-    if (options.outPathSet) {
+    if (!options.outPath.empty()) {
         std::ofstream out(options.outPath);
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
@@ -891,7 +864,7 @@ commandScenario(const CliOptions &options)
                     service_stats.quarantined);
     }
 
-    if (options.outPathSet) {
+    if (!options.outPath.empty()) {
         std::ofstream out(options.outPath);
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
@@ -981,73 +954,6 @@ commandServe(const CliOptions &options)
     const std::size_t handled = session.runToCompletion();
     std::fprintf(stderr, "serve: handled %zu request(s)\n", handled);
     return 0;
-}
-
-int
-commandReplayTrace(const CliOptions &options)
-{
-    if (options.tracePaths.empty()) {
-        std::fprintf(stderr,
-                     "replay-trace needs at least one --trace FILE\n");
-        return 2;
-    }
-    const BenchmarkProfile &profile =
-        ProfileRegistry::byName(options.benchmark);
-    const ExperimentConfig config = configFrom(options);
-    const std::string &scheme = schemeFromName(options.scheme);
-
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (unsigned core = 0; core < options.cores; ++core) {
-        const std::string &path =
-            options.tracePaths[core % options.tracePaths.size()];
-        sources.push_back(std::make_unique<FileSource>(path));
-    }
-
-    Machine machine(config.system, scheme);
-    SimulationEngine engine(machine, profile, config.engine,
-                            std::move(sources));
-    const RunResult result = engine.run();
-
-    const RunTotals &totals = result.totals();
-    std::printf("replayed %llu refs from %zu trace file(s) under "
-                "%s\n",
-                static_cast<unsigned long long>(totals.refs),
-                options.tracePaths.size(), scheme.c_str());
-    std::printf("L2 TLB misses         : %llu\n",
-                static_cast<unsigned long long>(
-                    totals.lastLevelMisses));
-    std::printf("avg penalty per miss  : %.2f cycles\n",
-                totals.avgPenaltyPerMiss);
-    std::printf("page walks            : %.2f%% of misses\n",
-                100.0 * totals.walkFraction);
-    return 0;
-}
-
-int
-commandRecordTrace(const CliOptions &options)
-{
-    const BenchmarkProfile &profile =
-        ProfileRegistry::byName(options.benchmark);
-    TraceGenerator generator(profile, options.core,
-                             options.seed ? options.seed : 42);
-    const std::uint64_t written =
-        recordTrace(generator, options.outPath, options.count);
-    std::printf("wrote %llu records of '%s' (core %u) to %s\n",
-                static_cast<unsigned long long>(written),
-                profile.name.c_str(), options.core,
-                options.outPath.c_str());
-    return 0;
-}
-
-/** True when @p path starts with the legacy `POMT` trace magic. */
-bool
-hasLegacyTraceMagic(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    char magic[4] = {};
-    in.read(magic, sizeof(magic));
-    return in.gcount() == sizeof(magic) &&
-           std::memcmp(magic, "POMT", 4) == 0;
 }
 
 [[noreturn]] void
@@ -1147,10 +1053,7 @@ commandTracePack(int argc, char **argv)
                                   std::size_t n) {
                 writer.append(stream, records, n);
             };
-            const std::uint64_t records =
-                hasLegacyTraceMagic(input)
-                    ? scanLegacyTrace(input, sink)
-                    : scanTextTrace(input, sink);
+            const std::uint64_t records = scanTraceInput(input, sink);
             std::printf("  %s: %llu records -> stream '%s'\n",
                         input.c_str(),
                         static_cast<unsigned long long>(records),
@@ -1327,6 +1230,24 @@ commandTrace(int argc, char **argv)
     traceUsage();
 }
 
+/** A command that takes the common option set. */
+using Command = int (*)(const CliOptions &);
+
+/** Every command except `trace`, which parses its own options. */
+const std::pair<const char *, Command> commands[] = {
+    {"list", [](const CliOptions &) { return commandList(); }},
+    {"list-schemes",
+     [](const CliOptions &) { return commandListSchemes(); }},
+    {"show-config",
+     [](const CliOptions &) { return commandShowConfig(); }},
+    {"run", commandRun},
+    {"compare", commandCompare},
+    {"sweep", commandSweep},
+    {"scenario", commandScenario},
+    {"serve", commandServe},
+    {"cache-gc", commandCacheGc},
+};
+
 } // namespace
 
 int
@@ -1341,33 +1262,17 @@ main(int argc, char **argv)
     try {
         if (command == "trace")
             return commandTrace(argc, argv);
-        const CliOptions options = parseOptions(argc, argv, 2);
-
-        if (command == "list")
-            return commandList();
-        if (command == "list-schemes")
-            return commandListSchemes();
-        if (command == "show-config")
-            return commandShowConfig();
-        if (command == "run")
-            return commandRun(options);
-        if (command == "compare")
-            return commandCompare(options);
-        if (command == "sweep")
-            return commandSweep(options);
-        if (command == "scenario")
-            return commandScenario(options);
-        if (command == "serve")
-            return commandServe(options);
-        if (command == "cache-gc")
-            return commandCacheGc(options);
-        if (command == "record-trace")
-            return commandRecordTrace(options);
-        if (command == "replay-trace")
-            return commandReplayTrace(options);
+        // Name an unknown command before its options are parsed, so
+        // a removed command is not reported as a bad option.
+        for (const auto &[name, handler] : commands) {
+            if (command == name)
+                return handler(parseOptions(argc, argv, 2));
+        }
     } catch (const TraceError &error) {
         std::fprintf(stderr, "pomtlb: %s\n", error.what());
         return 1;
     }
+    std::fprintf(stderr, "pomtlb: unknown command '%s'\n",
+                 command.c_str());
     usage();
 }
