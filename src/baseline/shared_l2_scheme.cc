@@ -41,8 +41,7 @@ SharedL2Scheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         result.probes = 1;
         sharedHitCycles += result.cycles;
         missCycles.sample(static_cast<double>(result.cycles));
-        if (StatsRegistry::detail())
-            missCycleHist.sample(result.cycles);
+        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -59,8 +58,7 @@ SharedL2Scheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
 
     sharedTlb->insert(vpn, size, vm, pid, walk.hostPfn);
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

@@ -107,8 +107,7 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         result.servedBy = ServicePoint::TsbBuffer;
         tsbHitCycles += result.cycles;
         missCycles.sample(static_cast<double>(result.cycles));
-        if (StatsRegistry::detail())
-            missCycleHist.sample(result.cycles);
+        missCycleHist.sample(result.cycles);
         return result;
     }
 
@@ -135,8 +134,7 @@ TsbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
 
     walkPathCycles += result.cycles;
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

@@ -7,9 +7,7 @@
 namespace pomtlb
 {
 
-SetAssocCache::SetAssocCache(const CacheConfig &config,
-                             ReplacementKind replacement,
-                             std::uint64_t seed)
+SetAssocCache::SetAssocCache(const CacheConfig &config)
     : cacheConfig(config),
       sets(config.numSets()),
       ways(config.associativity),
@@ -24,15 +22,6 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
     simAssert(lineShift >= 1,
               "line size must leave headroom for the invalid-tag "
               "sentinel");
-    // The default LRU policy is inlined over the recency stamps (the
-    // stamps a plain LruPolicy would keep are updated at exactly the
-    // same points, so the victims match bit-for-bit); only the other
-    // policies pay for a polymorphic object.
-    if (replacement != ReplacementKind::Lru) {
-        policy = ReplacementPolicy::create(
-            replacement, config.numSets(), config.associativity,
-            seed);
-    }
     statGroup.addCounter("data_hits", dataHits);
     statGroup.addCounter("data_misses", dataMisses);
     statGroup.addCounter("tlb_hits", tlbHits);
@@ -91,10 +80,6 @@ SetAssocCache::lookup(Addr addr, AccessType type, LineKind probe_kind)
         if (type == AccessType::Write)
             meta[index] |= metaDirty;
         stamps[index] = ++recencyClock;
-        if (policy) {
-            policy->touch(setIndex(addr),
-                          static_cast<unsigned>(index % ways));
-        }
         if (probe_kind == LineKind::Data)
             ++dataHits;
         else
@@ -125,7 +110,7 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
 
     // Fixed-trip scans over the set's contiguous tag lane find the
     // resident line (at most one way can match) and the first free
-    // way; only when both miss does the inline-LRU min scan run
+    // way; only when both miss does the LRU victim scan run
     // (common/setscan.hh). Each pass vectorizes — the old merged
     // early-exit loop could not — and the free/victim results are
     // consumed exactly when the scalar loop consumed them, so the
@@ -146,20 +131,12 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
             meta[resident] ^= metaTlb;
         }
         stamps[resident] = ++recencyClock;
-        if (policy) {
-            policy->touch(set,
-                          static_cast<unsigned>(resident % ways));
-        }
         return result;
     }
 
     unsigned target = findKeyWay(set_tags, ways, invalidTag);
     if (target == ways) {
-        const bool inline_lru =
-            tlbPolicy == TlbLinePolicy::None && !policy;
-        target = inline_lru
-                     ? minStampWay(stamps.data() + base, ways)
-                     : victimWay(set, kind);
+        target = victimWay(set);
         const std::uint64_t victim = base + target;
         result.evicted = true;
         result.victimAddr = lineAddr(set, tags[victim]);
@@ -181,33 +158,24 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
     ++validLines;
     if (kind == LineKind::TlbEntry)
         ++tlbLines;
-    if (policy)
-        policy->touch(set, target);
     return result;
 }
 
 unsigned
-SetAssocCache::victimWay(std::uint64_t set, LineKind)
+SetAssocCache::victimWay(std::uint64_t set) const
 {
     const std::uint64_t base = set * ways;
-
-    if (tlbPolicy == TlbLinePolicy::None) {
-        if (policy)
-            return policy->victim(set);
-        // Inline LRU: oldest stamp wins, lowest way on ties —
-        // exactly LruPolicy::victim over lockstep-updated stamps.
-        return minStampWay(stamps.data() + base, ways);
-    }
 
     // Section 5.1: retain TLB lines — evict the least-recently-used
     // *data* line when one exists; fall back to overall LRU when the
     // set holds nothing but TLB lines.
-    const unsigned best = minStampWayMasked(
-        stamps.data() + base, meta.data() + base, metaTlb, ways);
-    if (best != ways)
-        return best;
-    if (policy)
-        return policy->victim(set);
+    if (tlbPolicy == TlbLinePolicy::RetainTlb) {
+        const unsigned best = minStampWayMasked(
+            stamps.data() + base, meta.data() + base, metaTlb, ways);
+        if (best != ways)
+            return best;
+    }
+    // LRU: oldest stamp wins, lowest way on ties.
     return minStampWay(stamps.data() + base, ways);
 }
 
@@ -222,10 +190,6 @@ SetAssocCache::invalidate(Addr addr)
     --validLines;
     tags[index] = invalidTag;
     meta[index] = 0;
-    if (policy) {
-        policy->invalidate(setIndex(addr),
-                           static_cast<unsigned>(index % ways));
-    }
     ++invalidations;
     return true;
 }

@@ -2,9 +2,10 @@
  * @file
  * Deterministic pseudo-random number generation (xoshiro256**).
  *
- * Every stochastic component of the simulator (trace generators,
- * random replacement, page allocation jitter) draws from an Rng seeded
- * explicitly, so any experiment is reproducible bit-for-bit. We avoid
+ * The simulator's one stochastic component, the synthetic trace
+ * generator, draws from an Rng seeded explicitly, so any experiment
+ * is reproducible bit-for-bit; replacement everywhere is
+ * deterministic LRU. We avoid
  * std::mt19937 both for speed and because libstdc++ makes no
  * cross-version reproducibility promise for distributions.
  */

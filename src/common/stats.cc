@@ -1,9 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
-#include <ostream>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -91,36 +88,6 @@ StatGroup::addChild(const StatGroup &child)
 }
 
 void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    const std::string full =
-        prefix.empty() ? groupName : prefix + "." + groupName;
-    for (const auto &entry : entries) {
-        os << std::left << std::setw(48) << (full + "." + entry.name)
-           << " ";
-        const double value = entry.value();
-        if (entry.integral) {
-            os << static_cast<std::uint64_t>(value);
-        } else {
-            os << std::fixed << std::setprecision(4) << value;
-        }
-        os << "\n";
-    }
-    for (const auto &[name, hist] : histograms) {
-        const std::string base = full + "." + name;
-        os << std::left << std::setw(48) << (base + ".samples") << " "
-           << hist->sampleCount() << "\n";
-        os << std::left << std::setw(48) << (base + ".mean") << " "
-           << std::fixed << std::setprecision(4) << hist->mean()
-           << "\n";
-        os << std::left << std::setw(48) << (base + ".max") << " "
-           << hist->maxValue() << "\n";
-    }
-    for (const auto *child : children)
-        child->dump(os, full);
-}
-
-void
 StatGroup::collect(std::vector<std::pair<std::string, double>> &out,
                    const std::string &prefix) const
 {
@@ -167,13 +134,6 @@ StatsRegistry::add(const StatGroup &group)
 }
 
 void
-StatsRegistry::dump(std::ostream &os) const
-{
-    for (const auto *group : groups)
-        group->dump(os);
-}
-
-void
 StatsRegistry::collect(
     std::vector<std::pair<std::string, double>> &out) const
 {
@@ -188,17 +148,6 @@ StatsRegistry::toJson() const
     for (const auto *group : groups)
         object.set(group->name(), group->toJson());
     return object;
-}
-
-std::atomic<bool> &
-StatsRegistry::detailEnabled()
-{
-    static std::atomic<bool> enabled = [] {
-        if (const char *env = std::getenv("POMTLB_STATS_DETAIL"))
-            return env[0] != '0';
-        return true;
-    }();
-    return enabled;
 }
 
 double

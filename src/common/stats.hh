@@ -5,28 +5,25 @@
  * Components own a StatGroup; they register named counters, averaged
  * samples, derived ratios, and log2-bucketed latency histograms
  * against it. Groups nest, and a Machine registers every top-level
- * group into one StatsRegistry, so a full machine dumps (or
+ * group into one StatsRegistry, so a full machine flattens (or
  * JSON-exports) a single hierarchical tree of statistics — the
  * `components` section of the versioned `pomtlb-stats-v1` document
  * (see docs/metrics.md for the full schema reference).
  *
  * Everything is plain uint64/double — no atomics, the simulator core
  * is single-threaded by design (sweep workers each own a whole
- * machine, and therefore a whole registry). The one global knob,
- * StatsRegistry::detail(), gates the *optional* distribution
- * sampling (histograms) in hot paths so the disabled path costs a
- * single predictable branch; plain counters are always live because
- * the simulator's results are computed from them.
+ * machine, and therefore a whole registry). Every statistic is always
+ * live: there is no switch, so a stats document depends only on the
+ * run that produced it.
  */
 
 #ifndef POMTLB_COMMON_STATS_HH
 #define POMTLB_COMMON_STATS_HH
 
-#include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -87,70 +84,6 @@ class Average
   private:
     double total = 0.0;
     std::uint64_t samples = 0;
-};
-
-/**
- * A fixed-bucket histogram over [0, bucketWidth * bucketCount); samples
- * beyond the last bucket land in an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /** @param width bucket width; @param buckets bucket count. */
-    Histogram(std::uint64_t width, std::size_t buckets)
-        : bucketWidth(width), counts(buckets + 1, 0)
-    {
-    }
-
-    /** Record one sample. */
-    void
-    sample(std::uint64_t value)
-    {
-        std::size_t index = value / bucketWidth;
-        if (index >= counts.size() - 1)
-            index = counts.size() - 1;
-        ++counts[index];
-        total += value;
-        ++samples;
-        if (value > maxSeen)
-            maxSeen = value;
-    }
-
-    /** Zero every bucket and accumulator. */
-    void
-    reset()
-    {
-        for (auto &c : counts)
-            c = 0;
-        total = 0;
-        samples = 0;
-        maxSeen = 0;
-    }
-
-    /** Number of regular (non-overflow) buckets. */
-    std::uint64_t bucketCount() const { return counts.size() - 1; }
-    /** Count in bucket @p index. */
-    std::uint64_t bucket(std::size_t index) const { return counts[index]; }
-    /** Count of samples beyond the last regular bucket. */
-    std::uint64_t overflow() const { return counts.back(); }
-    /** Number of samples recorded. */
-    std::uint64_t sampleCount() const { return samples; }
-    /** Largest sample seen. */
-    std::uint64_t maxValue() const { return maxSeen; }
-    /** Mean of all samples (0 when empty). */
-    double mean() const
-    {
-        return samples ? static_cast<double>(total) / samples : 0.0;
-    }
-    /** Configured bucket width. */
-    std::uint64_t width() const { return bucketWidth; }
-
-  private:
-    std::uint64_t bucketWidth;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t maxSeen = 0;
 };
 
 /**
@@ -247,8 +180,8 @@ class Log2Histogram
 
 /**
  * A named collection of statistics belonging to one component.
- * Registration stores a name plus an accessor closure; dump() walks
- * the group tree and pretty-prints "group.stat value" lines, while
+ * Registration stores a name plus an accessor closure; collect()
+ * flattens the group tree into "group.stat" value pairs, while
  * toJson() renders the same tree as nested objects for the
  * `pomtlb-stats-v1` document.
  */
@@ -268,7 +201,7 @@ class StatGroup
     /** Register an averaged sample statistic. */
     void addAverage(const std::string &name, const Average &average);
 
-    /** Register a derived value computed on demand at dump time. */
+    /** Register a derived value computed on demand when read. */
     void addDerived(const std::string &name,
                     std::function<double()> compute);
 
@@ -278,9 +211,6 @@ class StatGroup
 
     /** Attach @p child as a nested group (child must outlive us). */
     void addChild(const StatGroup &child);
-
-    /** Print "prefix.name value" lines for this group and children. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     /** Collect (flat-name, value) pairs for programmatic checks. */
     void collect(std::vector<std::pair<std::string, double>> &out,
@@ -312,13 +242,11 @@ class StatGroup
 
 /**
  * The machine-wide stats tree: every component's top-level StatGroup
- * registers here (Machine wires this up), giving one place to dump,
- * flatten, or JSON-export the whole hierarchy.
+ * registers here (Machine wires this up), giving one place to
+ * flatten or JSON-export the whole hierarchy.
  *
  * The registry does not own groups — components do, and they must
- * outlive it. The static detail() switch gates optional distribution
- * sampling machine-wide (see file header); it defaults to on and can
- * be disabled with POMTLB_STATS_DETAIL=0 or setDetail(false).
+ * outlive it.
  */
 class StatsRegistry
 {
@@ -341,9 +269,6 @@ class StatsRegistry
         return groups;
     }
 
-    /** Print every "name value" line of every registered tree. */
-    void dump(std::ostream &os) const;
-
     /** Flatten every tree into (dotted-name, value) pairs. */
     void collect(std::vector<std::pair<std::string, double>> &out) const;
 
@@ -353,24 +278,7 @@ class StatsRegistry
      */
     JsonValue toJson() const;
 
-    /** Whether optional distribution sampling is enabled. */
-    static bool
-    detail()
-    {
-        return detailEnabled().load(std::memory_order_relaxed);
-    }
-
-    /** Turn optional distribution sampling on or off globally. */
-    static void
-    setDetail(bool enabled)
-    {
-        detailEnabled().store(enabled, std::memory_order_relaxed);
-    }
-
   private:
-    /** The global detail flag, seeded from POMTLB_STATS_DETAIL. */
-    static std::atomic<bool> &detailEnabled();
-
     std::vector<const StatGroup *> groups;
 };
 

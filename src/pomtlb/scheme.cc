@@ -191,8 +191,7 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
         break;
     }
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

@@ -124,8 +124,7 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
                 l3dCycles += result.cycles;
             }
             missCycles.sample(static_cast<double>(result.cycles));
-            if (StatsRegistry::detail())
-                missCycleHist.sample(result.cycles);
+            missCycleHist.sample(result.cycles);
             return result;
         }
     }
@@ -144,8 +143,7 @@ VictimaScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     installSlot(block_addr, vpn, size, vm, pid, walk.hostPfn);
     dataHierarchy.fillTlbLine(core, block_addr);
     missCycles.sample(static_cast<double>(result.cycles));
-    if (StatsRegistry::detail())
-        missCycleHist.sample(result.cycles);
+    missCycleHist.sample(result.cycles);
     return result;
 }
 

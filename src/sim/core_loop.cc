@@ -1,15 +1,47 @@
 #include "sim/core_loop.hh"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/bitutil.hh"
 #include "common/hash_set.hh"
 #include "common/log.hh"
 #include "sim/clock_heap.hh"
 #include "sim/machine.hh"
+#include "trace/error.hh"
 
 namespace pomtlb
 {
+
+namespace
+{
+
+/**
+ * Reject a record whose 2 MB region @p stream (or another stream of
+ * the same address space) already used at the other page size: the
+ * page tables cannot hold both, and a scheme that probes both sizes
+ * would silently serve one from the other.
+ */
+[[noreturn]] void
+throwPageSizeConflict(const TenantStream &stream,
+                      const TraceRecord &record)
+{
+    const PageSize other = record.pageSize == PageSize::Large2M
+                               ? PageSize::Small4K
+                               : PageSize::Large2M;
+    std::ostringstream message;
+    message << "trace stream '" << stream.source->describe()
+            << "' marks virtual address 0x" << std::hex
+            << record.vaddr << std::dec << " as a "
+            << pageSizeName(record.pageSize)
+            << " page, but its 2MB region already holds "
+            << pageSizeName(other) << " pages (vm " << stream.vm
+            << ", pid " << stream.pid
+            << "); a region must keep one page size";
+    throw TraceError(message.str());
+}
+
+} // namespace
 
 CoreLoop::CoreLoop(Machine &machine_ref, const EngineConfig &config,
                    CompiledRun compiled)
@@ -48,12 +80,15 @@ CoreLoop::clearCounters()
 }
 
 void
-CoreLoop::prepopulate()
+CoreLoop::prepopulate(bool install)
 {
     TenantStreamSet &streams = program.streams;
-    captured = streams.captureEligible();
+    captured = install && streams.captureEligible();
     MemoryMap &map = machine.memoryMap();
     U64Set seen(std::size_t{1} << 16);
+    // Page size of every 2 MB region touched, per address space
+    // (0 = 4 KB, 1 = 2 MB), shared by the streams of one space.
+    U64Map regions(std::size_t{1} << 12);
     std::vector<TraceRecord> chunk;
     if (!captured) {
         chunk.resize(static_cast<std::size_t>(
@@ -68,8 +103,9 @@ CoreLoop::prepopulate()
         dry.rewind();
         const VmId vm = stream.vm;
         const ProcessId pid = stream.pid;
-        // Dedup key covers (page, pid, vm): the same page may need
-        // separate entries per process and per VM.
+        // Dedup key covers (page, size, pid, vm): the same page may
+        // need separate entries per process and per VM, and a 4 KB
+        // page shares its base with the 2 MB page around it.
         const std::uint64_t space_key =
             mix64((static_cast<std::uint64_t>(pid) << 16) | vm);
 
@@ -95,15 +131,30 @@ CoreLoop::prepopulate()
                                    "steady-state pre-population");
             for (std::size_t i = 0; i < got; ++i) {
                 const TraceRecord &record = block[i];
+                const std::uint64_t large =
+                    record.pageSize == PageSize::Large2M ? 1 : 0;
                 const Addr page =
                     pageBase(record.vaddr, record.pageSize);
-                const std::uint64_t key = mix64(page) ^ space_key;
+                const std::uint64_t key =
+                    mix64(page | large) ^ space_key;
                 // Page-local runs dominate the streams: skip the set
                 // probe when the key repeats back-to-back.
                 if (key == last_key)
                     continue;
                 last_key = key;
                 if (!seen.insert(key))
+                    continue;
+                const std::uint64_t region_key =
+                    mix64(pageBase(record.vaddr, PageSize::Large2M)) ^
+                    space_key;
+                if (const std::uint64_t *size =
+                        regions.find(region_key)) {
+                    if (*size != large)
+                        throwPageSizeConflict(stream, record);
+                } else {
+                    regions.insert(region_key, large);
+                }
+                if (!install)
                     continue;
                 const TranslationInfo info = map.ensureMapped(
                     vm, pid, record.vaddr, record.pageSize);
@@ -346,12 +397,9 @@ CoreLoop::run()
     for (std::uint32_t s = 0; s < streams.size(); ++s)
         ++state[streams.at(s).tenant].activeStreams;
 
-    if (engineConfig.prepopulate) {
-        prepopulate();
-    } else {
-        captured = false;
+    prepopulate(engineConfig.prepopulate);
+    if (!engineConfig.prepopulate)
         streams.releaseCaptures();
-    }
     streams.beginRun(captured);
 
     lanes.assign(cores, Lane{});

@@ -240,7 +240,13 @@ class CoreLoop
         bool departsMidRun = false;
     };
 
-    void prepopulate();
+    /**
+     * The dry pass over every record the run will replay: rejects a
+     * stream that uses one 2 MB region at both page sizes (a named
+     * TraceError) and, when @p install, maps and prewarms each page
+     * and captures the streams for replay.
+     */
+    void prepopulate(bool install);
     void runPhase(std::uint64_t target);
     /** Point @p lane at @p slice's stream. */
     void enterSlice(Lane &lane, const Slice &slice);

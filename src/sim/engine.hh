@@ -71,7 +71,9 @@ struct EngineConfig
      * longer than the simulated window — the regime the paper
      * measures — so first-touch cold misses do not pollute the
      * steady-state statistics. SRAM TLBs and data caches still warm
-     * up normally during the warmup phase.
+     * up normally during the warmup phase. The dry enumeration runs
+     * either way — it also rejects a trace that uses one 2 MB region
+     * at both page sizes — so false only skips the installation.
      */
     bool prepopulate = true;
 };

@@ -1,5 +1,4 @@
 #include "sim/machine.hh"
-#include <ostream>
 #include <stdexcept>
 
 #include "common/log.hh"
@@ -183,12 +182,6 @@ Machine::shootdownPage(Addr vaddr, PageSize size, VmId vm,
     for (auto &mmu : mmus)
         mmu->tlbs().invalidatePage(vpn, size, vm, pid);
     translationScheme->invalidatePage(vaddr, size, vm, pid);
-}
-
-void
-Machine::dumpStats(std::ostream &os) const
-{
-    statsRegistry.dump(os);
 }
 
 void

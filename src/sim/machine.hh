@@ -9,7 +9,6 @@
 #ifndef POMTLB_SIM_MACHINE_HH
 #define POMTLB_SIM_MACHINE_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -125,13 +124,9 @@ class Machine
     /** Reset every statistic (used at the warmup boundary). */
     void resetStats();
 
-    /** Dump every component's statistics as "name value" lines. */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * Collect every component's statistics as (flat-name, value)
-     * pairs — the programmatic twin of dumpStats(), used by the
-     * sweep result writer.
+     * pairs, used by the sweep result writer.
      */
     void collectStats(
         std::vector<std::pair<std::string, double>> &out) const;

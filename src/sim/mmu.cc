@@ -26,19 +26,20 @@ Mmu::Mmu(const SystemConfig &config, CoreId core,
     if (coreTlbs->hasPrivateL2())
         statGroup.addChild(coreTlbs->l2Tlb().stats());
     statGroup.addDerived("penalty_p99_bucket", [this] {
-        // Upper edge of the bucket containing the 99th percentile.
-        const std::uint64_t total = penaltyHist.sampleCount();
+        // Upper edge of the 32-cycle bucket containing the 99th
+        // percentile; the largest penalty when it lies past them.
+        const std::uint64_t total = penaltyCycleHist.sampleCount();
         if (total == 0)
             return 0.0;
         std::uint64_t seen = 0;
-        for (std::size_t b = 0; b < penaltyHist.bucketCount(); ++b) {
-            seen += penaltyHist.bucket(b);
+        for (std::size_t b = 0; b < penaltyBuckets.size(); ++b) {
+            seen += penaltyBuckets[b];
             if (seen * 100 >= total * 99) {
                 return static_cast<double>((b + 1) *
-                                           penaltyHist.width());
+                                           penaltyBucketCycles);
             }
         }
-        return static_cast<double>(penaltyHist.maxValue());
+        return static_cast<double>(penaltyCycleHist.maxValue());
     });
 }
 
@@ -103,10 +104,9 @@ Mmu::translate(Addr vaddr, PageSize size, VmId vm, ProcessId pid,
     sramCycles.increment(tlb.cycles);
     schemeCycles.increment(scheme.cycles);
     missPenalty.sample(static_cast<double>(scheme.cycles));
-    if (StatsRegistry::detail()) {
-        penaltyHist.sample(scheme.cycles);
-        penaltyCycleHist.sample(scheme.cycles);
-    }
+    penaltyCycleHist.sample(scheme.cycles);
+    if (scheme.cycles < penaltyBuckets.size() * penaltyBucketCycles)
+        ++penaltyBuckets[scheme.cycles / penaltyBucketCycles];
     if (traced) {
         TranslationEvent event;
         event.seq = tracer->seenCount() - 1;
@@ -146,8 +146,8 @@ Mmu::resetStats()
     sramCycles.reset();
     schemeCycles.reset();
     missPenalty.reset();
-    penaltyHist.reset();
     penaltyCycleHist.reset();
+    penaltyBuckets.fill(0);
     coreTlbs->resetStats();
 }
 

@@ -8,6 +8,7 @@
 #ifndef POMTLB_SIM_MMU_HH
 #define POMTLB_SIM_MMU_HH
 
+#include <array>
 #include <memory>
 
 #include "common/config.hh"
@@ -100,9 +101,6 @@ class Mmu
     /** Average scheme cycles per last-level TLB miss (the paper's P). */
     double avgPenaltyPerMiss() const { return missPenalty.mean(); }
 
-    /** Distribution of per-miss penalties (32-cycle buckets). */
-    const Histogram &penaltyHistogram() const { return penaltyHist; }
-
     /** Log2-bucketed distribution of per-miss penalties. */
     const Log2Histogram &penaltyCycleHistogram() const
     {
@@ -132,8 +130,15 @@ class Mmu
     /** Scheme share of translationCycles (exact split). */
     Counter schemeCycles;
     Average missPenalty;
-    Histogram penaltyHist{32, 32};
     Log2Histogram penaltyCycleHist;
+    /** Width of one penaltyBuckets bucket, in cycles. */
+    static constexpr std::uint64_t penaltyBucketCycles = 32;
+    /**
+     * Per-miss penalty counts in 32-cycle buckets below 1024 cycles:
+     * the resolution of the `penalty_p99_bucket` stat. Larger
+     * penalties are counted by penaltyCycleHist alone.
+     */
+    std::array<std::uint64_t, 32> penaltyBuckets{};
     StatGroup statGroup;
 };
 

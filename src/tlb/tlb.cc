@@ -7,8 +7,7 @@
 namespace pomtlb
 {
 
-SetAssocTlb::SetAssocTlb(const TlbConfig &config,
-                         ReplacementKind replacement)
+SetAssocTlb::SetAssocTlb(const TlbConfig &config)
     : tlbConfig(config),
       sets(config.numSets()),
       ways(config.associativity),
@@ -18,12 +17,6 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &config,
       statGroup(config.name)
 {
     tlbConfig.validate();
-    // Default LRU is inlined over the stamps vector; only the other
-    // policies pay for a polymorphic object (see victimWay()).
-    if (replacement != ReplacementKind::Lru) {
-        policy = ReplacementPolicy::create(
-            replacement, config.numSets(), config.associativity);
-    }
     statGroup.addCounter("hits", hitCount);
     statGroup.addCounter("misses", missCount);
     statGroup.addCounter("insertions", insertions);
@@ -97,8 +90,8 @@ SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
     // Vector-friendly fixed-trip scans over the set's packed key
     // lane (common/setscan.hh) replace the old merged early-exit
     // loop: a matching entry refreshes in place (a duplicate fill),
-    // else the first free way (key 0) wins, else the inline-LRU
-    // oldest stamp. Each result is consumed exactly when the scalar
+    // else the first free way (key 0) wins, else the LRU oldest
+    // stamp. Each result is consumed exactly when the scalar
     // loop consumed it and every tie goes to the lowest way, so the
     // victims — and therefore all downstream state — match
     // bit-for-bit.
@@ -111,9 +104,7 @@ SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
 
     unsigned target = findKeyWay(keys.data() + base_index, ways, 0);
     if (target == ways) {
-        target = policy ? victimWay(set)
-                        : minStampWay(stamps.data() + base_index,
-                                      ways);
+        target = minStampWay(stamps.data() + base_index, ways);
         ++evictions;
         --validEntries;
     }

@@ -1,19 +1,20 @@
 /**
  * @file
- * A set-associative SRAM TLB with VM-ID/ASID tagging.
+ * A set-associative SRAM TLB with VM-ID/ASID tagging and LRU
+ * replacement.
  *
  * Used for the per-core L1 TLBs (one per page size), the unified
  * per-core L2 TLB, and the Shared_L2 baseline's large shared TLB.
+ * Replacement is true LRU over per-way recency stamps, inlined on
+ * the access path (the Table 1 TLBs are all LRU).
  */
 
 #ifndef POMTLB_TLB_TLB_HH
 #define POMTLB_TLB_TLB_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/bitutil.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -35,8 +36,7 @@ struct TlbLookupResult
 class SetAssocTlb
 {
   public:
-    SetAssocTlb(const TlbConfig &config,
-                ReplacementKind replacement = ReplacementKind::Lru);
+    explicit SetAssocTlb(const TlbConfig &config);
 
     /** Look up (vpn, vm, pid) at @p size; updates LRU on hit. */
     TlbLookupResult lookup(PageNum vpn, PageSize size, VmId vm,
@@ -99,44 +99,18 @@ class SetAssocTlb
     unsigned matchWay(std::uint64_t set, PageNum vpn, PageSize size,
                       VmId vm, ProcessId pid) const;
 
-    /** Note a use of [set, way] in the replacement state. */
+    /** Note a use of [set, way] in the LRU stamps. */
     void
     touchWay(std::uint64_t set, unsigned way)
     {
-        if (policy)
-            policy->touch(set, way);
-        else
-            stamps[set * ways + way] = ++lruClock;
+        stamps[set * ways + way] = ++lruClock;
     }
 
     /** Forget a way's use history after an invalidation. */
     void
     forgetWay(std::uint64_t set, unsigned way)
     {
-        if (policy)
-            policy->invalidate(set, way);
-        else
-            stamps[set * ways + way] = 0;
-    }
-
-    /** Pick the eviction victim in @p set. */
-    unsigned
-    victimWay(std::uint64_t set)
-    {
-        if (policy)
-            return policy->victim(set);
-        // Inline LRU: oldest stamp, lowest way on ties — identical
-        // to LruPolicy::victim (the stamps follow the same updates).
-        const std::uint64_t base = set * ways;
-        unsigned best = 0;
-        std::uint64_t best_stamp = stamps[base];
-        for (unsigned way = 1; way < ways; ++way) {
-            if (stamps[base + way] < best_stamp) {
-                best_stamp = stamps[base + way];
-                best = way;
-            }
-        }
-        return best;
+        stamps[set * ways + way] = 0;
     }
 
     TlbConfig tlbConfig;
@@ -146,14 +120,12 @@ class SetAssocTlb
     /** Per-way packed match keys (entryKey(); 0 = invalid way). */
     std::vector<std::uint64_t> keys;
     /**
-     * Per-way recency stamps for the inlined default-LRU policy,
-     * kept outside the 16-byte TlbEntry (tlb/entry.hh). Unused when
-     * a polymorphic policy is set.
+     * Per-way LRU recency stamps (0 = never used, so a freed way is
+     * the first victim), kept outside the 16-byte TlbEntry
+     * (tlb/entry.hh).
      */
     std::vector<std::uint64_t> stamps;
     std::uint64_t lruClock = 0;
-    /** Non-null only for non-LRU replacement (LRU is inlined). */
-    std::unique_ptr<ReplacementPolicy> policy;
     std::uint64_t validEntries = 0;
 
     Counter hitCount;

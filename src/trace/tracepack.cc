@@ -1034,8 +1034,15 @@ scanTraceInput(const std::string &path, const TraceBlockSink &sink)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw TraceError("cannot open trace file '" + path + "'");
-    char magic[legacyMagicBytes] = {};
+    // The pack magic "POMTPAK1" starts with the legacy "POMT", so
+    // the full 8-byte pack magic is compared first.
+    char magic[sizeof(packMagic)] = {};
     in.read(magic, sizeof(magic));
+    if (std::memcmp(magic, packMagic, sizeof(packMagic)) == 0)
+        throw TraceError("'" + path + "' is already a " +
+                         tracePackSchema() +
+                         " trace pack; replay it with run --trace-in "
+                         "instead of importing it");
     return std::memcmp(magic, legacyMagic, legacyMagicBytes) == 0
                ? scanLegacyTrace(path, sink)
                : scanTextTrace(path, sink);

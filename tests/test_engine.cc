@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 
 #include "sim/engine.hh"
 #include "trace/source.hh"
@@ -219,6 +220,61 @@ TEST(Engine, EmptyPackStreamIsANamedTraceError)
         EXPECT_NE(what.find("'empty'"), std::string::npos) << what;
     }
     std::remove(path.c_str());
+}
+
+TEST(Engine, PageSizeConflictIsANamedTraceError)
+{
+    // Stream 'mixed' marks one 2 MB region both 4 KB and 2 MB. In
+    // either record order, at the region base (where the two pages
+    // share a base address) or inside it, and with or without
+    // pre-population, the run must throw a TraceError naming the
+    // pack, the stream and the conflicting address, not abort or
+    // serve one page size from the other.
+    const Addr region = 0x40000000;
+    for (const bool large_first : {false, true}) {
+        for (const Addr small_offset : {Addr{0}, Addr{0x5000}}) {
+            for (const bool prepopulate : {true, false}) {
+                SCOPED_TRACE(testing::Message()
+                             << "large_first=" << large_first
+                             << " small_offset=" << small_offset
+                             << " prepopulate=" << prepopulate);
+                TraceRecord small;
+                small.vaddr = region + small_offset;
+                TraceRecord large;
+                large.vaddr = region + 0x1000;
+                large.pageSize = PageSize::Large2M;
+                const TraceRecord &second = large_first ? small : large;
+                const std::string path = uniqueTempPath("mixed.pack");
+                {
+                    TracePackWriter writer(path, {"mixed", "clean"});
+                    writer.append(0, large_first ? large : small);
+                    writer.append(0, second);
+                    writer.append(1, small);
+                }
+                EngineConfig config = quickEngine();
+                config.tracePackPath = path;
+                config.prepopulate = prepopulate;
+                Machine machine(twoCores(), "POM-TLB");
+                SimulationEngine engine(
+                    machine, ProfileRegistry::byName("mcf"), config);
+                try {
+                    engine.run();
+                    ADD_FAILURE() << "expected TraceError";
+                } catch (const TraceError &error) {
+                    const std::string what = error.what();
+                    EXPECT_NE(what.find(path), std::string::npos)
+                        << what;
+                    EXPECT_NE(what.find("mixed"), std::string::npos)
+                        << what;
+                    std::ostringstream vaddr;
+                    vaddr << "0x" << std::hex << second.vaddr << " ";
+                    EXPECT_NE(what.find(vaddr.str()), std::string::npos)
+                        << what;
+                }
+                std::remove(path.c_str());
+            }
+        }
+    }
 }
 
 TEST(Engine, GeneratorSourceRewindReplays)

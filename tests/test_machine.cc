@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/machine.hh"
 
 namespace pomtlb
@@ -112,21 +110,6 @@ TEST(Machine, NativeModeMachine)
         0x1234000, PageSize::Small4K, 1, 1, 0);
     EXPECT_TRUE(result.walked);
     EXPECT_EQ(machine.memoryMap().mode(), ExecMode::Native);
-}
-
-TEST(Machine, DumpStatsProducesOutput)
-{
-    SystemConfig config = SystemConfig::table1();
-    config.numCores = 1;
-    Machine machine(config, "POM-TLB");
-    machine.mmu(0).translate(0x1234000, PageSize::Small4K, 1, 1, 0);
-    std::ostringstream oss;
-    machine.dumpStats(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("ddr4-2133"), std::string::npos);
-    EXPECT_NE(out.find("die-stacked"), std::string::npos);
-    EXPECT_NE(out.find("mmu.0"), std::string::npos);
-    EXPECT_NE(out.find("l3"), std::string::npos);
 }
 
 } // namespace

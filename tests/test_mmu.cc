@@ -115,12 +115,12 @@ TEST_F(MmuTest, PenaltyHistogramFills)
          vaddr += 4096) {
         mmu.translate(vaddr, PageSize::Small4K, 1, 1, 0);
     }
-    const Histogram &hist = mmu.penaltyHistogram();
+    const Log2Histogram &hist = mmu.penaltyCycleHistogram();
     EXPECT_EQ(hist.sampleCount(), 50u);
     EXPECT_GT(hist.mean(), 0.0);
-    // Every sample landed in some bucket or the overflow.
-    std::uint64_t total = hist.overflow();
-    for (std::size_t b = 0; b < hist.bucketCount(); ++b)
+    // Every sample landed in exactly one bucket.
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < Log2Histogram::numBuckets; ++b)
         total += hist.bucket(b);
     EXPECT_EQ(total, 50u);
 }

@@ -395,6 +395,42 @@ TEST(Scenario, EmptyPackStreamIsANamedTraceError)
     std::filesystem::remove(path);
 }
 
+TEST(Scenario, PageSizeConflictIsANamedTraceError)
+{
+    // vCPU 1's stream uses one 2 MB region at both page sizes: the
+    // scenario run must throw a TraceError naming the pack, the
+    // stream and the address, in either record order.
+    for (const bool large_first : {false, true}) {
+        SCOPED_TRACE(large_first ? "2 MB first" : "4 KB first");
+        TraceRecord small;
+        small.vaddr = 0x40000000;
+        TraceRecord large = small;
+        large.pageSize = PageSize::Large2M;
+        const std::string path = uniqueTempPath("mixed.pack");
+        {
+            TracePackWriter writer(path, {"clean", "mixed"});
+            writer.append(0, small);
+            writer.append(1, large_first ? large : small);
+            writer.append(1, large_first ? small : large);
+        }
+        ScenarioSpec spec = degenerateSpec("mcf");
+        spec.withTracePack(path);
+        Machine machine(spec.system, spec.scheme);
+        ScenarioEngine engine(machine, spec);
+        try {
+            engine.run();
+            ADD_FAILURE() << "expected TraceError";
+        } catch (const TraceError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("mixed"), std::string::npos) << what;
+            EXPECT_NE(what.find("0x40000000 "), std::string::npos)
+                << what;
+        }
+        std::filesystem::remove(path);
+    }
+}
+
 // ---------------------------------------------------------------
 // Export document
 // ---------------------------------------------------------------

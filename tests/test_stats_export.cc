@@ -127,6 +127,48 @@ TEST(StatsExport, CycleTotalsExactlyMatchEngineForEveryScheme)
     }
 }
 
+/**
+ * Histograms are always sampled: on every scheme, each MMU's penalty
+ * histogram holds one sample per last-level TLB miss, and each
+ * walker's walk histograms one sample per walk.
+ */
+TEST(StatsExport, HistogramCountsMatchTheirCounters)
+{
+    for (const std::string &scheme :
+         SchemeRegistry::global().names()) {
+        SCOPED_TRACE(scheme);
+        RunOutput out = runMachine(SystemConfig::table1(), scheme);
+        const JsonValue doc =
+            buildStatsDocument(*out.machine, out.result, "mcf");
+        const JsonValue &components = doc.at("components");
+        for (unsigned core = 0; core < 2; ++core) {
+            const JsonValue &mmu =
+                components.at("mmu." + std::to_string(core));
+            const std::uint64_t misses =
+                mmu.at("last_level_misses").asUint();
+            EXPECT_EQ(misses,
+                      out.result.cores[core].lastLevelTlbMisses);
+            EXPECT_EQ(mmu.at("penalty_cycle_hist").at("samples").asUint(),
+                      misses)
+                << "mmu." << core;
+        }
+        unsigned walkers = 0;
+        for (const auto &[name, group] : components.members()) {
+            if (name.rfind("walker.", 0) != 0)
+                continue;
+            ++walkers;
+            const std::uint64_t walks = group.at("walks").asUint();
+            EXPECT_EQ(group.at("walk_cycle_hist").at("samples").asUint(),
+                      walks)
+                << name;
+            EXPECT_EQ(group.at("walk_ref_hist").at("samples").asUint(),
+                      walks)
+                << name;
+        }
+        EXPECT_EQ(walkers, 2u);
+    }
+}
+
 TEST(StatsExport, TraceMetadataPresentWhenTracing)
 {
     RunOutput out =

@@ -497,12 +497,24 @@ TEST_F(TracePackTest, LegacyScanNamesEveryBadInputAndDecodesFlags)
     flagged[3].instGap = 0xffffffffu;
     std::string truncated = pomtBytes(std::vector<TraceRecord>(8));
     truncated.resize(truncated.size() - 6);
+    // A pack starts with "POMTPAK1", whose first four bytes are the
+    // legacy magic: format detection must still call it a pack.
+    const std::string pack = uniqueTempPath("already.pack");
+    {
+        TracePackWriter writer(pack, {"core0"});
+        writer.append(0, flagged.data(), flagged.size());
+    }
+    const std::string packed = fileBytes(pack);
+    std::remove(pack.c_str());
 
+    using Scanner = std::uint64_t (*)(const std::string &,
+                                      const TraceBlockSink &);
     struct Case
     {
         const char *name;
         std::string bytes; //!< File content; empty = no file.
         std::vector<std::string> errorParts; //!< Empty = must decode.
+        Scanner scan = scanLegacyTrace; //!< Scanner under test.
     };
     const std::vector<Case> cases = {
         {"missing file", "", {"cannot open"}},
@@ -515,6 +527,9 @@ TEST_F(TracePackTest, LegacyScanNamesEveryBadInputAndDecodesFlags)
          {"8 records", "(120 bytes)",
           std::to_string(truncated.size()) + " bytes"}},
         {"flags and inst gaps", pomtBytes(flagged), {}},
+        {"already a pack", packed,
+         {"is already a pomtlb-tracepack-v1 trace pack"},
+         scanTraceInput},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
@@ -540,7 +555,7 @@ TEST_F(TracePackTest, LegacyScanNamesEveryBadInputAndDecodesFlags)
             }
         } else {
             try {
-                scanLegacyTrace(file, sink);
+                c.scan(file, sink);
                 ADD_FAILURE() << "expected TraceError";
             } catch (const TraceError &error) {
                 const std::string what = error.what();

@@ -187,7 +187,7 @@ struct CliOptions
     bool prefetch = false;
     bool tlbAware = false;
     std::uint64_t shootdownInterval = 0;
-    bool dumpStats = false;
+    bool printStats = false;
     std::string statsOutPath;
     std::string traceOutPath;
 
@@ -305,7 +305,7 @@ parseOptions(int argc, char **argv, int first)
         else if (arg == "--shootdown-interval")
             options.shootdownInterval = parseNumber(next());
         else if (arg == "--stats")
-            options.dumpStats = true;
+            options.printStats = true;
         else if (arg == "--stats-out")
             options.statsOutPath = next();
         else if (arg == "--trace-out")
@@ -553,10 +553,10 @@ commandRun(const CliOptions &options)
                     100.0 *
                         machine.pomTlbDevice()->rowBufferHitRate());
     }
-    if (options.dumpStats || !options.statsOutPath.empty()) {
+    if (options.printStats || !options.statsOutPath.empty()) {
         const JsonValue document =
             buildStatsDocument(machine, result, profile.name);
-        if (options.dumpStats) {
+        if (options.printStats) {
             std::printf("\n");
             document.write(std::cout);
             std::printf("\n");
@@ -652,7 +652,7 @@ commandSweep(const CliOptions &options)
         spec.withSchemes(std::move(schemes));
     }
 
-    if (options.dumpStats)
+    if (options.printStats)
         spec.withComponentStats();
 
     const bool service_mode =
