@@ -1,27 +1,33 @@
 #include "cache/cache.hh"
 
+#include <limits>
+
 #include "common/bitutil.hh"
 #include "common/log.hh"
-#include "common/setscan.hh"
 
 namespace pomtlb
 {
 
+namespace
+{
+/** @p config, after validate() has accepted it. */
+const CacheConfig &
+validated(const CacheConfig &config)
+{
+    config.validate();
+    return config;
+}
+} // namespace
+
 SetAssocCache::SetAssocCache(const CacheConfig &config)
-    : cacheConfig(config),
+    : cacheConfig(validated(config)),
       sets(config.numSets()),
       ways(config.associativity),
       lineShift(floorLog2(config.lineBytes)),
       setBits(floorLog2(config.numSets())),
-      tags(config.numSets() * config.associativity, invalidTag),
-      stamps(config.numSets() * config.associativity, 0),
-      meta(config.numSets() * config.associativity, 0),
+      blocks(config.numSets(), 6 * config.associativity),
       statGroup(config.name)
 {
-    cacheConfig.validate();
-    simAssert(lineShift >= 1,
-              "line size must leave headroom for the invalid-tag "
-              "sentinel");
     statGroup.addCounter("data_hits", dataHits);
     statGroup.addCounter("data_misses", dataMisses);
     statGroup.addCounter("tlb_hits", tlbHits);
@@ -33,53 +39,39 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     statGroup.addDerived("hit_rate", [this] { return hitRate(); });
     statGroup.addDerived("tlb_line_occupancy", [this] {
         return static_cast<double>(tlbLines) /
-               static_cast<double>(tags.size());
+               static_cast<double>(sets * ways);
     });
 }
 
-std::uint64_t
-SetAssocCache::setIndex(Addr addr) const
+std::uint32_t
+SetAssocCache::storedTag(Addr addr) const
 {
-    return (addr >> lineShift) & (sets - 1);
-}
-
-std::uint64_t
-SetAssocCache::tagOf(Addr addr) const
-{
-    return addr >> (lineShift + setBits);
+    const std::uint64_t tag = addr >> (lineShift + setBits);
+    if (tag >= std::numeric_limits<std::uint32_t>::max())
+        return 0;
+    return static_cast<std::uint32_t>(tag + 1);
 }
 
 Addr
-SetAssocCache::lineAddr(std::uint64_t set, std::uint64_t tag) const
+SetAssocCache::lineAddr(std::uint64_t set, std::uint32_t stored) const
 {
-    return ((tag << setBits) | set) << lineShift;
-}
-
-std::int64_t
-SetAssocCache::findLine(Addr addr) const
-{
-    const std::uint64_t tag = tagOf(addr);
-    const std::uint64_t base = setIndex(addr) * ways;
-    // One vector-friendly compare pass over a contiguous 64-bit
-    // array: invalid ways hold the sentinel, which never equals a
-    // real tag.
-    const unsigned way = findKeyWay(tags.data() + base, ways, tag);
-    if (way == ways)
-        return -1;
-    return static_cast<std::int64_t>(base + way);
+    return ((static_cast<Addr>(stored - 1) << setBits) | set)
+           << lineShift;
 }
 
 CacheLookupResult
 SetAssocCache::lookup(Addr addr, AccessType type, LineKind probe_kind)
 {
     CacheLookupResult result;
-    const std::int64_t index = findLine(addr);
-    if (index >= 0) {
+    std::uint8_t *block = blocks.block(setIndex(addr));
+    const unsigned way = matchWay(block, storedTag(addr));
+    if (way != ways) {
+        std::uint8_t &meta = metaLane(block)[way];
         result.hit = true;
-        result.kind = kindOf(meta[index]);
+        result.kind = kindOf(meta);
         if (type == AccessType::Write)
-            meta[index] |= metaDirty;
-        stamps[index] = ++recencyClock;
+            meta |= metaDirty;
+        touchAge(ageLane(block), ways, way);
         if (probe_kind == LineKind::Data)
             ++dataHits;
         else
@@ -96,7 +88,8 @@ SetAssocCache::lookup(Addr addr, AccessType type, LineKind probe_kind)
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    return findLine(addr) >= 0;
+    return matchWay(blocks.block(setIndex(addr)), storedTag(addr)) !=
+           ways;
 }
 
 CacheFillResult
@@ -105,43 +98,41 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
     CacheFillResult result;
     ++fills;
 
+    const std::uint32_t stored = storedTag(addr);
+    simAssert(stored != 0, cacheConfig.name, ": the tag of address ",
+              addr, " does not fit the 32-bit tag lane");
     const std::uint64_t set = setIndex(addr);
-    const std::uint64_t base = set * ways;
+    std::uint8_t *block = blocks.block(set);
+    std::uint32_t *tags = tagLane(block);
+    std::uint8_t *ages = ageLane(block);
+    std::uint8_t *meta = metaLane(block);
 
-    // Fixed-trip scans over the set's contiguous tag lane find the
-    // resident line (at most one way can match) and the first free
-    // way; only when both miss does the LRU victim scan run
-    // (common/setscan.hh). Each pass vectorizes — the old merged
-    // early-exit loop could not — and the free/victim results are
-    // consumed exactly when the scalar loop consumed them, so the
-    // victims match bit-for-bit (the lowest way wins every tie).
-    const std::uint64_t tag = tagOf(addr);
-    const std::uint64_t *set_tags = tags.data() + base;
-    const unsigned match = findKeyWay(set_tags, ways, tag);
-    const std::int64_t resident =
-        match == ways ? -1 : static_cast<std::int64_t>(base + match);
+    // Fixed-trip scans over the block's tag lane find the resident
+    // line (at most one way can match) and the first free way; only
+    // when both miss does the victim scan over the age lane run
+    // (common/setscan.hh). The lowest way wins every tie.
+    const unsigned match = matchWay(block, stored);
 
     // Refresh in place when the line is already resident (e.g. two
     // outstanding misses to the same line resolved back to back).
-    if (resident >= 0) {
+    if (match != ways) {
         if (dirty)
-            meta[resident] |= metaDirty;
-        if (kindOf(meta[resident]) != kind) {
+            meta[match] |= metaDirty;
+        if (kindOf(meta[match]) != kind) {
             tlbLines += (kind == LineKind::TlbEntry) ? 1 : -1;
-            meta[resident] ^= metaTlb;
+            meta[match] ^= metaTlb;
         }
-        stamps[resident] = ++recencyClock;
+        touchAge(ages, ways, match);
         return result;
     }
 
-    unsigned target = findKeyWay(set_tags, ways, invalidTag);
+    unsigned target = findKeyWay(tags, ways, std::uint32_t{0});
     if (target == ways) {
-        target = victimWay(set);
-        const std::uint64_t victim = base + target;
+        target = victimWay(block);
         result.evicted = true;
-        result.victimAddr = lineAddr(set, tags[victim]);
-        result.victimDirty = (meta[victim] & metaDirty) != 0;
-        result.victimKind = kindOf(meta[victim]);
+        result.victimAddr = lineAddr(set, tags[target]);
+        result.victimDirty = (meta[target] & metaDirty) != 0;
+        result.victimKind = kindOf(meta[target]);
         ++evictions;
         if (result.victimDirty)
             ++writebacks;
@@ -150,11 +141,10 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
         --validLines;
     }
 
-    const std::uint64_t index = base + target;
-    tags[index] = tag;
-    meta[index] = (dirty ? metaDirty : 0) |
-                  (kind == LineKind::TlbEntry ? metaTlb : 0);
-    stamps[index] = ++recencyClock;
+    tags[target] = stored;
+    meta[target] = (dirty ? metaDirty : 0) |
+                   (kind == LineKind::TlbEntry ? metaTlb : 0);
+    touchAge(ages, ways, target);
     ++validLines;
     if (kind == LineKind::TlbEntry)
         ++tlbLines;
@@ -162,34 +152,46 @@ SetAssocCache::fill(Addr addr, LineKind kind, bool dirty)
 }
 
 unsigned
-SetAssocCache::victimWay(std::uint64_t set) const
+SetAssocCache::victimWay(std::uint8_t *block) const
 {
-    const std::uint64_t base = set * ways;
+    // Every way of a full set was touched when it was filled, so its
+    // ages are a permutation of 0..ways-1 in last-touch order: the
+    // way aged 0 is the LRU line, and the lowest-aged data line is
+    // the LRU data line.
+    const std::uint8_t *ages = ageLane(block);
 
     // Section 5.1: retain TLB lines — evict the least-recently-used
     // *data* line when one exists; fall back to overall LRU when the
-    // set holds nothing but TLB lines.
+    // set holds nothing but TLB lines. TLB lines read as an age no
+    // way can have.
     if (tlbPolicy == TlbLinePolicy::RetainTlb) {
-        const unsigned best = minStampWayMasked(
-            stamps.data() + base, meta.data() + base, metaTlb, ways);
-        if (best != ways)
-            return best;
+        constexpr std::uint8_t untouchable = 0xff;
+        const std::uint8_t *meta = metaLane(block);
+        std::uint8_t lowest = untouchable;
+        for (unsigned way = 0; way < ways; ++way) {
+            const std::uint8_t age =
+                (meta[way] & metaTlb) ? untouchable : ages[way];
+            lowest = age < lowest ? age : lowest;
+        }
+        if (lowest != untouchable)
+            return findKeyWay(ages, ways, lowest);
     }
-    // LRU: oldest stamp wins, lowest way on ties.
-    return minStampWay(stamps.data() + base, ways);
+    return findKeyWay(ages, ways, std::uint8_t{0});
 }
 
 bool
 SetAssocCache::invalidate(Addr addr)
 {
-    const std::int64_t index = findLine(addr);
-    if (index < 0)
+    std::uint8_t *block = blocks.block(setIndex(addr));
+    const unsigned way = matchWay(block, storedTag(addr));
+    if (way == ways)
         return false;
-    if (meta[index] & metaTlb)
+    std::uint8_t &meta = metaLane(block)[way];
+    if (meta & metaTlb)
         --tlbLines;
     --validLines;
-    tags[index] = invalidTag;
-    meta[index] = 0;
+    tagLane(block)[way] = 0;
+    meta = 0;
     ++invalidations;
     return true;
 }
@@ -198,11 +200,16 @@ std::uint64_t
 SetAssocCache::flush()
 {
     std::uint64_t dropped = 0;
-    for (std::uint64_t index = 0; index < tags.size(); ++index) {
-        if (tags[index] != invalidTag) {
-            ++dropped;
-            tags[index] = invalidTag;
-            meta[index] = 0;
+    for (std::uint64_t set = 0; set < sets; ++set) {
+        std::uint8_t *block = blocks.block(set);
+        std::uint32_t *tags = tagLane(block);
+        std::uint8_t *meta = metaLane(block);
+        for (unsigned way = 0; way < ways; ++way) {
+            if (tags[way] != 0) {
+                ++dropped;
+                tags[way] = 0;
+                meta[way] = 0;
+            }
         }
     }
     tlbLines = 0;

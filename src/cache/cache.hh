@@ -7,13 +7,16 @@
  * POM-TLB entry, so the experiments can report how translation lines
  * and ordinary data compete for capacity (Sections 4.2 and 5.1).
  *
- * Hot-path layout: line state is stored structure-of-arrays — the tag
- * probe (the operation every access performs) scans one contiguous
- * 64-bit array per set instead of striding through a wide per-line
- * struct, and validity is folded into the tag with a reserved
- * sentinel so the probe is a single compare per way. Replacement is
- * LRU (Table 1): the per-line recency stamps are the whole policy
- * state, the same stamps the Section 5.1 TLB-aware victim scan uses.
+ * Hot-path layout: each set is one contiguous set block
+ * (common/setscan.hh) — a 32-bit tag lane, one LRU age byte per way
+ * and one meta (dirty/kind) byte per way — so a probe and its victim
+ * choice touch one 64 B host line for an 8-way set, an aligned line
+ * pair for a 16-way set, and half a line for a 4-way set. The lane
+ * stores `tag + 1`, so a zero word is an invalid way and a fresh
+ * cache is one untouched zero-page mapping. Tags must therefore fit
+ * 32 bits; fill() panics on a wider one and a lookup of one misses.
+ * Replacement is exact LRU (Table 1) from the per-way ages, which
+ * the Section 5.1 TLB-aware victim scan also reads.
  */
 
 #ifndef POMTLB_CACHE_CACHE_HH
@@ -21,9 +24,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/setscan.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -103,6 +106,18 @@ class SetAssocCache
     /** Drop the line containing @p addr if present. */
     bool invalidate(Addr addr);
 
+    /**
+     * Hint the host to fetch the set block @p addr maps to, ahead of
+     * an access to it. No simulated state or statistic changes.
+     * Always inlined: GCC drops calls to a function that only
+     * prefetches.
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr addr) const
+    {
+        blocks.prefetch(setIndex(addr));
+    }
+
     /** Drop every line (returns number of lines dropped). */
     std::uint64_t flush();
 
@@ -134,25 +149,51 @@ class SetAssocCache
     std::uint64_t writebackCount() const { return writebacks.value(); }
 
   private:
-    /**
-     * Reserved tag marking an invalid way. Real tags are addresses
-     * shifted right by at least the line bits, so they can never
-     * reach the all-ones value (asserted in the constructor).
-     */
-    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
-
-    /** meta[] bit 0: line dirty. */
+    /** meta lane bit 0: line dirty. */
     static constexpr std::uint8_t metaDirty = 1u << 0;
-    /** meta[] bit 1: line caches a POM-TLB entry. */
+    /** meta lane bit 1: line caches a POM-TLB entry. */
     static constexpr std::uint8_t metaTlb = 1u << 1;
 
-    std::uint64_t setIndex(Addr addr) const;
-    /** LRU victim way of @p set, honouring the TLB-aware policy. */
-    unsigned victimWay(std::uint64_t set) const;
-    std::uint64_t tagOf(Addr addr) const;
-    Addr lineAddr(std::uint64_t set, std::uint64_t tag) const;
-    /** Index into the line arrays, or -1 when not resident. */
-    std::int64_t findLine(Addr addr) const;
+    std::uint64_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> lineShift) & (sets - 1);
+    }
+    /**
+     * The tag lane's word for @p addr: its tag plus one, or 0 (no
+     * way holds it) when the tag does not fit 32 bits.
+     */
+    std::uint32_t storedTag(Addr addr) const;
+    Addr lineAddr(std::uint64_t set, std::uint32_t stored) const;
+
+    /** The tag lane of the set block at @p block. */
+    static std::uint32_t *
+    tagLane(std::uint8_t *block)
+    {
+        return reinterpret_cast<std::uint32_t *>(block);
+    }
+    /** The age lane (one byte per way) of the set block. */
+    std::uint8_t *ageLane(std::uint8_t *block) const
+    {
+        return block + 4 * ways;
+    }
+    /** The meta lane (metaDirty / metaTlb per way) of the block. */
+    std::uint8_t *metaLane(std::uint8_t *block) const
+    {
+        return block + 5 * ways;
+    }
+    /** Way of @p block holding @p stored, or the associativity. */
+    unsigned
+    matchWay(const std::uint8_t *block, std::uint32_t stored) const
+    {
+        if (stored == 0)
+            return ways;
+        return findKeyWay(
+            reinterpret_cast<const std::uint32_t *>(block), ways,
+            stored);
+    }
+    /** LRU victim way of a full set, honouring the TLB policy. */
+    unsigned victimWay(std::uint8_t *block) const;
 
     static LineKind
     kindOf(std::uint8_t meta_bits)
@@ -167,15 +208,10 @@ class SetAssocCache
     unsigned lineShift;
     unsigned setBits;
 
-    // Structure-of-arrays line state, indexed [set * ways + way].
-    std::vector<std::uint64_t> tags;
-    /** Recency stamps: LRU state and TLB-aware victim input. */
-    std::vector<std::uint64_t> stamps;
-    /** Per-line dirty/kind bits (metaDirty / metaTlb). */
-    std::vector<std::uint8_t> meta;
+    /** One block per set: tag lane, age lane, meta lane. */
+    SetBlocks blocks;
 
     TlbLinePolicy tlbPolicy = TlbLinePolicy::None;
-    std::uint64_t recencyClock = 0;
     std::uint64_t tlbLines = 0;
     std::uint64_t validLines = 0;
 

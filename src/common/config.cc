@@ -4,6 +4,7 @@
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
+#include "common/setscan.hh"
 
 namespace pomtlb
 {
@@ -13,6 +14,9 @@ CacheConfig::validate() const
 {
     if (sizeBytes == 0 || associativity == 0 || lineBytes == 0)
         fatal("cache '", name, "': zero-sized parameter");
+    if (associativity > maxSetWays)
+        fatal("cache '", name, "': associativity ", associativity,
+              " exceeds the ", maxSetWays, "-way set scan");
     if (!isPowerOfTwo(lineBytes))
         fatal("cache '", name, "': line size must be a power of two");
     if (sizeBytes % (static_cast<std::uint64_t>(associativity) * lineBytes))
@@ -28,6 +32,9 @@ TlbConfig::validate() const
 {
     if (entries == 0 || associativity == 0)
         fatal("tlb '", name, "': zero-sized parameter");
+    if (associativity > maxSetWays)
+        fatal("tlb '", name, "': associativity ", associativity,
+              " exceeds the ", maxSetWays, "-way set scan");
     if (entries % associativity)
         fatal("tlb '", name, "': entries not divisible by associativity");
     if (!isPowerOfTwo(numSets()))

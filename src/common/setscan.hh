@@ -1,44 +1,58 @@
 /**
  * @file
- * Branch-free scan primitives for set-associative lookups.
+ * Set blocks and branch-free scan primitives for set-associative
+ * lookups.
  *
- * The per-reference hot paths of the data caches and SRAM TLBs all
- * reduce to two scans over one set's contiguous 64-bit lanes: "which
- * way holds this key?" and "which way holds the oldest stamp?". The
- * classic early-exit loops defeat auto-vectorization (a data-
- * dependent break forbids reading the remaining ways), so these
- * helpers express both questions as fixed-trip-count passes over the
- * whole set — a compare-into-bitmask reduction and a min reduction —
- * which GCC and Clang turn into SIMD compares at any register width
- * without intrinsics. Associativities are small (4–16 ways), so the
- * extra lanes an early exit would have skipped are already in the
- * cache line the scan touched anyway.
+ * The data caches and SRAM TLBs keep each simulated set's hot state
+ * together in one *set block*: a key lane (one 32-bit key per way)
+ * followed by one LRU age byte per way, and for caches one meta byte
+ * per way. A block is padded to a power of two, so a 4-way cache
+ * set takes 32 B (two sets share a 64 B host line), an 8-way set
+ * one line and a 16-way set an aligned line pair. One probe and its
+ * victim choice therefore touch the fewest host lines — the host
+ * analogue of the paper's POM-TLB set, a 64 B line carrying its own
+ * 2-bit LRU (Section 2.2). Blocks live in zero pages
+ * (common/zero_page_array.hh), so all-zero bytes must be an empty
+ * set: key 0 marks an invalid way and age 0 is the oldest.
  *
- * Every helper preserves the exact tie-break discipline of the loops
- * it replaces: the *lowest* matching way wins, and the lowest way
- * among minimum-stamp ties wins (the strict '<' running-minimum
- * idiom). Results are bit-identical to the scalar scans; the golden
- * fixtures in tests/golden/ pin that equivalence.
+ * Replacement is exact LRU from byte ages (touchAge()): touching a
+ * way ages every way younger than it by one and makes it the
+ * youngest (`ways - 1`). Once every way of a set has been touched the
+ * ages are a permutation of 0..ways-1 in last-touch order, so the
+ * victim — the way aged 0 — is the least recently used one.
+ *
+ * The scans are fixed-trip-count passes over the whole set (a
+ * compare-into-bitmask reduction) that GCC and Clang turn into SIMD
+ * compares without intrinsics; the classic early-exit loop defeats
+ * auto-vectorization. The lowest matching way wins every tie, as in
+ * the scalar loops these replace; the golden fixtures in
+ * tests/golden/ pin that equivalence.
  */
 
 #ifndef POMTLB_COMMON_SETSCAN_HH
 #define POMTLB_COMMON_SETSCAN_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+
+#include "common/zero_page_array.hh"
 
 namespace pomtlb
 {
 
+/** Widest associativity a set scan handles (one mask bit per way). */
+inline constexpr unsigned maxSetWays = 64;
+
 /**
  * Bitmask of the ways in @p keys[0..ways) equal to @p key (bit w set
  * iff way w matches). Compares every way unconditionally — a
- * reduction the vectorizer maps onto SIMD compares. Associativity
- * must be at most 64 (one bitmask lane per way).
+ * reduction the vectorizer maps onto SIMD compares at any lane
+ * width. Associativity must be at most maxSetWays.
  */
+template <typename Key>
 inline std::uint64_t
-findKeyMask(const std::uint64_t *keys, unsigned ways,
-            std::uint64_t key)
+findKeyMask(const Key *keys, unsigned ways, Key key)
 {
     std::uint64_t mask = 0;
     for (unsigned way = 0; way < ways; ++way) {
@@ -52,9 +66,9 @@ findKeyMask(const std::uint64_t *keys, unsigned ways,
  * First way in @p keys[0..ways) equal to @p key, or @p ways when no
  * way matches.
  */
+template <typename Key>
 inline unsigned
-findKeyWay(const std::uint64_t *keys, unsigned ways,
-           std::uint64_t key)
+findKeyWay(const Key *keys, unsigned ways, Key key)
 {
     const std::uint64_t mask = findKeyMask(keys, ways, key);
     if (mask == 0)
@@ -63,53 +77,86 @@ findKeyWay(const std::uint64_t *keys, unsigned ways,
 }
 
 /**
- * Lowest way holding the minimum of @p stamps[0..ways) — the inline-
- * LRU victim. @p ways must be at least 1.
+ * Make @p way the most recently used of @p ages[0..ways): every way
+ * younger than it (a higher age) ages by one, and it takes the top
+ * age `ways - 1`. Never-touched ways stay at 0, so they are always
+ * among the oldest.
  */
-inline unsigned
-minStampWay(const std::uint64_t *stamps, unsigned ways)
+inline void
+touchAge(std::uint8_t *ages, unsigned ways, unsigned way)
 {
-    // Two fixed-trip passes: a plain min reduction (vectorizable),
-    // then the first way carrying that minimum. Taking the first
-    // occurrence reproduces the strict-'<' running minimum's
-    // lowest-way tie-break exactly.
-    std::uint64_t lowest = stamps[0];
-    for (unsigned way = 1; way < ways; ++way)
-        lowest = stamps[way] < lowest ? stamps[way] : lowest;
-    unsigned way = 0;
-    while (stamps[way] != lowest)
-        ++way;
-    return way;
+    const std::uint8_t own = ages[way];
+    for (unsigned w = 0; w < ways; ++w)
+        ages[w] = static_cast<std::uint8_t>(ages[w] - (ages[w] > own));
+    ages[way] = static_cast<std::uint8_t>(ways - 1);
 }
 
-/**
- * Lowest way holding the minimum stamp among ways whose @p meta byte
- * has none of @p excluded_bits set, or @p ways when every eligible
- * way's stamp is the all-ones sentinel (or none is eligible). Used
- * by the RetainTlb victim policy: excluded ways are treated as if
- * they held an untouchable all-ones stamp, which matches the scalar
- * loop's behaviour (strict '<' against an all-ones initial best
- * never selects an all-ones stamp).
- */
-inline unsigned
-minStampWayMasked(const std::uint64_t *stamps,
-                  const std::uint8_t *meta,
-                  std::uint8_t excluded_bits, unsigned ways)
+/** One 64 B host cache line of set blocks; zero bytes are empty. */
+struct alignas(64) HostLine
 {
-    constexpr std::uint64_t untouchable = ~std::uint64_t{0};
-    std::uint64_t lowest = untouchable;
-    for (unsigned way = 0; way < ways; ++way) {
-        const std::uint64_t masked =
-            (meta[way] & excluded_bits) ? untouchable : stamps[way];
-        lowest = masked < lowest ? masked : lowest;
+    /** The line's bytes, carved into set blocks. */
+    std::uint8_t bytes[64];
+
+    /** Zero-filled lines are empty sets (ZeroPageArray contract). */
+    static constexpr bool zeroBytesAreEmpty = true;
+};
+
+/**
+ * One block per set, each a power-of-two number of bytes at a
+ * naturally aligned offset, backed by zero pages: construction is a
+ * single untouched mapping and a set costs host memory only once
+ * written.
+ */
+class SetBlocks
+{
+  public:
+    /**
+     * @param sets        Number of sets.
+     * @param block_bytes Bytes one set needs; rounded up to a power
+     *                    of two.
+     */
+    SetBlocks(std::uint64_t sets, unsigned block_bytes)
+        : stride(std::bit_ceil(block_bytes)),
+          lines((sets * stride + sizeof(HostLine) - 1) /
+                sizeof(HostLine))
+    {
     }
-    if (lowest == untouchable)
-        return ways;
-    unsigned way = 0;
-    while ((meta[way] & excluded_bits) || stamps[way] != lowest)
-        ++way;
-    return way;
-}
+
+    /** First byte of @p set's block. */
+    std::uint8_t *
+    block(std::uint64_t set)
+    {
+        return reinterpret_cast<std::uint8_t *>(lines.begin()) +
+               set * stride;
+    }
+
+    /** First byte of @p set's block. */
+    const std::uint8_t *
+    block(std::uint64_t set) const
+    {
+        return reinterpret_cast<const std::uint8_t *>(lines.begin()) +
+               set * stride;
+    }
+
+    /**
+     * Ask the host to pull @p set's block into its caches: every
+     * host line of it, for a lookup and a victim choice. Changes no
+     * state. Always inlined: GCC drops calls to a function that only
+     * prefetches.
+     */
+    [[gnu::always_inline]] void
+    prefetch(std::uint64_t set) const
+    {
+        const std::uint8_t *first = block(set);
+        for (unsigned offset = 0; offset < stride;
+             offset += sizeof(HostLine))
+            __builtin_prefetch(first + offset);
+    }
+
+  private:
+    unsigned stride;
+    ZeroPageArray<HostLine> lines;
+};
 
 } // namespace pomtlb
 

@@ -101,9 +101,16 @@ class ZeroPageArray
 
     /** Element @p index (unchecked). */
     T &operator[](std::size_t index) { return elements[index]; }
+    /** Element @p index (unchecked). */
+    const T &operator[](std::size_t index) const
+    {
+        return elements[index];
+    }
 
     /** First element. */
     T *begin() { return elements; }
+    /** First element. */
+    const T *begin() const { return elements; }
     /** One past the last element. */
     T *end() { return elements + count; }
 

@@ -46,6 +46,19 @@ class PomTlb
     }
 
     /**
+     * Hint the host to fetch the entry line of the set @p vaddr maps
+     * to at @p size. No simulated state or statistic changes.
+     * Always inlined: GCC drops calls to a function that only
+     * prefetches.
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr vaddr, VmId vm, PageSize size) const
+    {
+        const PageNum vpn = pageNumber(vaddr, size);
+        partition(size).prefetch(addressMap.setIndex(vpn, vm, size));
+    }
+
+    /**
      * Timed lookup: one die-stacked DRAM burst fetches the set, then
      * the four entries are searched associatively.
      */

@@ -195,6 +195,19 @@ PomTlbScheme::translateMiss(CoreId core, Addr vaddr, PageSize size,
     return result;
 }
 
+void
+PomTlbScheme::prefetch(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                       ProcessId pid) const
+{
+    (void)pid;
+    pomTlb.prefetch(vaddr, vm, size);
+    if (tlbConfig.cacheable) {
+        const Addr set_addr = pomTlb.setAddress(vaddr, vm, size);
+        dataHierarchy.l2d(core).prefetch(set_addr);
+        dataHierarchy.l3d().prefetch(set_addr);
+    }
+}
+
 std::vector<std::pair<ServicePoint, std::uint64_t>>
 PomTlbScheme::cycleBreakdown() const
 {

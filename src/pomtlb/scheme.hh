@@ -59,6 +59,13 @@ class PomTlbScheme : public TranslationScheme
                                VmId vm, ProcessId pid,
                                Cycles now) override;
 
+    /**
+     * Prefetch the POM-TLB set line of @p vaddr at @p size and its
+     * blocks in the core's L2D$ and the L3D$ tag stores.
+     */
+    void prefetch(CoreId core, Addr vaddr, PageSize size, VmId vm,
+                  ProcessId pid) const override;
+
     void prewarm(CoreId core, Addr vaddr, PageSize size, VmId vm,
                  ProcessId pid, PageNum pfn) override;
 

@@ -287,6 +287,7 @@ CoreLoop::runPhase(std::uint64_t target)
 
     TenantStreamSet &streams = program.streams;
     DataHierarchy &hierarchy = machine.hierarchy();
+    const TranslationScheme &scheme = machine.scheme();
     const std::uint64_t interval =
         engineConfig.shootdownIntervalRefs;
     const std::uint64_t storm_interval = program.storm.intervalRefs;
@@ -322,6 +323,15 @@ CoreLoop::runPhase(std::uint64_t target)
             --lane.sliceLeft;
             const VmId vm = stream.vm;
             const ProcessId pid = stream.pid;
+
+            // Start the host fetch of what the stream's next record
+            // will probe; with several lanes interleaved it usually
+            // runs a few references later. A hint only.
+            if (stream.blockPos < stream.blockLen) {
+                const TraceRecord &next = stream.block[stream.blockPos];
+                scheme.prefetch(core, next.vaddr, next.pageSize, vm,
+                                pid);
+            }
 
             // Non-memory instructions retire at one per cycle.
             clock += record.instGap;

@@ -113,6 +113,24 @@ class TranslationScheme
                                        ProcessId pid, Cycles now) = 0;
 
     /**
+     * Host-side hint that @p core will soon translate @p vaddr
+     * (@p size, @p vm, @p pid): a scheme may software-prefetch the
+     * host memory its translateMiss() would touch for it. Reads
+     * only, and changes no simulated state or statistic, so a run's
+     * results never depend on it. The default does nothing.
+     */
+    virtual void
+    prefetch(CoreId core, Addr vaddr, PageSize size, VmId vm,
+             ProcessId pid) const
+    {
+        (void)core;
+        (void)vaddr;
+        (void)size;
+        (void)vm;
+        (void)pid;
+    }
+
+    /**
      * True when the scheme replaces the private L2 TLBs with its own
      * second-level structure (the Shared_L2 baseline).
      */

@@ -7,16 +7,25 @@
 namespace pomtlb
 {
 
+namespace
+{
+/** @p config, after validate() has accepted it. */
+const TlbConfig &
+validated(const TlbConfig &config)
+{
+    config.validate();
+    return config;
+}
+} // namespace
+
 SetAssocTlb::SetAssocTlb(const TlbConfig &config)
-    : tlbConfig(config),
+    : tlbConfig(validated(config)),
       sets(config.numSets()),
       ways(config.associativity),
       entries(config.entries),
-      keys(config.entries, 0),
-      stamps(config.entries, 0),
+      blocks(config.numSets(), 5 * config.associativity),
       statGroup(config.name)
 {
-    tlbConfig.validate();
     statGroup.addCounter("hits", hitCount);
     statGroup.addCounter("misses", missCount);
     statGroup.addCounter("insertions", insertions);
@@ -37,12 +46,13 @@ unsigned
 SetAssocTlb::matchWay(std::uint64_t set, PageNum vpn, PageSize size,
                       VmId vm, ProcessId pid) const
 {
-    // SIMD-friendly probe: one compare pass over the set's packed
+    // SIMD-friendly probe: one compare pass over the set block's
     // key lane, then full-field verification of each candidate in
     // way order (a digest collision must not manufacture a hit, and
     // the lowest truly-matching way must win).
-    std::uint64_t mask = findKeyMask(keys.data() + set * ways, ways,
-                                     entryKey(vpn, vm, pid, size));
+    std::uint64_t mask = findKeyMask(
+        reinterpret_cast<const std::uint32_t *>(blocks.block(set)),
+        ways, entryKey(vpn, vm, pid, size));
     const TlbEntry *base = &entries[set * ways];
     while (mask != 0) {
         const unsigned way =
@@ -60,7 +70,7 @@ SetAssocTlb::lookup(PageNum vpn, PageSize size, VmId vm, ProcessId pid)
     const std::uint64_t set = setIndex(vpn, vm);
     const unsigned way = matchWay(set, vpn, size, vm, pid);
     if (way != ways) {
-        touchWay(set, way);
+        touchAge(ageLane(set), ways, way);
         ++hitCount;
         return {true, entries[set * ways + way].pfn()};
     }
@@ -87,32 +97,39 @@ SetAssocTlb::insert(PageNum vpn, PageSize size, VmId vm, ProcessId pid,
     TlbEntry *base = &entries[base_index];
     ++insertions;
 
-    // Vector-friendly fixed-trip scans over the set's packed key
-    // lane (common/setscan.hh) replace the old merged early-exit
-    // loop: a matching entry refreshes in place (a duplicate fill),
-    // else the first free way (key 0) wins, else the LRU oldest
-    // stamp. Each result is consumed exactly when the scalar
-    // loop consumed it and every tie goes to the lowest way, so the
-    // victims — and therefore all downstream state — match
-    // bit-for-bit.
+    // Fixed-trip scans over the set block (common/setscan.hh): a
+    // matching entry refreshes in place (a duplicate fill), else the
+    // first free way (key 0) wins, else the LRU way (age 0). A full
+    // set's ways were all touched when inserted, so exactly one of
+    // them is aged 0.
     const unsigned match = matchWay(set, vpn, size, vm, pid);
+    std::uint8_t *ages = ageLane(set);
     if (match != ways) {
         base[match].setPfn(pfn);
-        touchWay(set, match);
+        touchAge(ages, ways, match);
         return;
     }
 
-    unsigned target = findKeyWay(keys.data() + base_index, ways, 0);
+    std::uint32_t *keys = keyLane(set);
+    unsigned target = findKeyWay(keys, ways, std::uint32_t{0});
     if (target == ways) {
-        target = minStampWay(stamps.data() + base_index, ways);
+        target = findKeyWay(ages, ways, std::uint8_t{0});
         ++evictions;
         --validEntries;
     }
 
     base[target].set(vpn, vm, pid, size, pfn);
-    keys[base_index + target] = entryKey(vpn, vm, pid, size);
+    keys[target] = entryKey(vpn, vm, pid, size);
     ++validEntries;
-    touchWay(set, target);
+    touchAge(ages, ways, target);
+}
+
+void
+SetAssocTlb::dropWay(std::uint64_t set, unsigned way)
+{
+    entries[set * ways + way].invalidate();
+    keyLane(set)[way] = 0;
+    --validEntries;
 }
 
 bool
@@ -123,10 +140,7 @@ SetAssocTlb::invalidatePage(PageNum vpn, PageSize size, VmId vm,
     const unsigned way = matchWay(set, vpn, size, vm, pid);
     if (way == ways)
         return false;
-    entries[set * ways + way].invalidate();
-    keys[set * ways + way] = 0;
-    forgetWay(set, way);
-    --validEntries;
+    dropWay(set, way);
     ++shootdowns;
     return true;
 }
@@ -139,10 +153,7 @@ SetAssocTlb::invalidateVm(VmId vm)
         TlbEntry *base = &entries[set * ways];
         for (unsigned way = 0; way < ways; ++way) {
             if (base[way].validInVm(vm)) {
-                base[way].invalidate();
-                keys[set * ways + way] = 0;
-                forgetWay(set, way);
-                --validEntries;
+                dropWay(set, way);
                 ++dropped;
             }
         }
@@ -159,14 +170,11 @@ SetAssocTlb::flush()
         TlbEntry *base = &entries[set * ways];
         for (unsigned way = 0; way < ways; ++way) {
             if (base[way].valid()) {
-                base[way].invalidate();
-                keys[set * ways + way] = 0;
-                forgetWay(set, way);
+                dropWay(set, way);
                 ++dropped;
             }
         }
     }
-    validEntries = 0;
     return dropped;
 }
 

@@ -5,8 +5,14 @@
  *
  * Used for the per-core L1 TLBs (one per page size), the unified
  * per-core L2 TLB, and the Shared_L2 baseline's large shared TLB.
- * Replacement is true LRU over per-way recency stamps, inlined on
- * the access path (the Table 1 TLBs are all LRU).
+ *
+ * Hot-path layout: each set's scan state is one set block
+ * (common/setscan.hh) — a 32-bit key digest per way, then one LRU
+ * age byte per way — so the 12-way L2 TLB's 48 + 12 bytes fit one
+ * 64 B host line. The 16-byte entries (tlb/entry.hh) live in a
+ * separate array, so a hit or an insert touches one entry line.
+ * Replacement is exact LRU from the ages (the Table 1 TLBs are all
+ * LRU); an insert takes the first free way before the LRU one.
  */
 
 #ifndef POMTLB_TLB_TLB_HH
@@ -17,6 +23,7 @@
 
 #include "common/bitutil.hh"
 #include "common/config.hh"
+#include "common/setscan.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/entry.hh"
@@ -73,14 +80,14 @@ class SetAssocTlb
     std::uint64_t setIndex(PageNum vpn, VmId vm) const;
 
     /**
-     * Packed match key of a valid entry for the SIMD-friendly way
-     * scan: a mixed digest of (vpn, vm, pid, size), forced non-zero
-     * so 0 can stand for an invalid way. The scan compares one
-     * contiguous 64-bit lane per set (common/setscan.hh) and then
-     * verifies candidate ways against the full entry fields, so a
-     * rare digest collision costs a compare, never a wrong hit.
+     * Match key of a valid entry for the SIMD-friendly way scan: a
+     * 32-bit digest of (vpn, vm, pid, size), forced non-zero so 0
+     * can stand for an invalid way. The scan compares the set
+     * block's key lane (common/setscan.hh) and then verifies
+     * candidate ways against the full entry fields, so a digest
+     * collision costs a compare, never a wrong hit.
      */
-    static std::uint64_t
+    static std::uint32_t
     entryKey(PageNum vpn, VmId vm, ProcessId pid, PageSize size)
     {
         const std::uint64_t packed =
@@ -89,7 +96,20 @@ class SetAssocTlb
             (static_cast<std::uint64_t>(
                  static_cast<unsigned>(size))
              << 60);
-        return mix64(packed) | 1;
+        return static_cast<std::uint32_t>(mix64(packed)) | 1;
+    }
+
+    /** The key lane (entryKey(); 0 = invalid way) of @p set. */
+    std::uint32_t *
+    keyLane(std::uint64_t set)
+    {
+        return reinterpret_cast<std::uint32_t *>(blocks.block(set));
+    }
+    /** The age lane (one LRU age byte per way) of @p set. */
+    std::uint8_t *
+    ageLane(std::uint64_t set)
+    {
+        return blocks.block(set) + 4 * ways;
     }
 
     /**
@@ -99,33 +119,15 @@ class SetAssocTlb
     unsigned matchWay(std::uint64_t set, PageNum vpn, PageSize size,
                       VmId vm, ProcessId pid) const;
 
-    /** Note a use of [set, way] in the LRU stamps. */
-    void
-    touchWay(std::uint64_t set, unsigned way)
-    {
-        stamps[set * ways + way] = ++lruClock;
-    }
-
-    /** Forget a way's use history after an invalidation. */
-    void
-    forgetWay(std::uint64_t set, unsigned way)
-    {
-        stamps[set * ways + way] = 0;
-    }
+    /** Drop the valid entry at [@p set, @p way]. */
+    void dropWay(std::uint64_t set, unsigned way);
 
     TlbConfig tlbConfig;
     std::uint64_t sets;
     unsigned ways;
     std::vector<TlbEntry> entries;
-    /** Per-way packed match keys (entryKey(); 0 = invalid way). */
-    std::vector<std::uint64_t> keys;
-    /**
-     * Per-way LRU recency stamps (0 = never used, so a freed way is
-     * the first victim), kept outside the 16-byte TlbEntry
-     * (tlb/entry.hh).
-     */
-    std::vector<std::uint64_t> stamps;
-    std::uint64_t lruClock = 0;
+    /** One block per set: key lane, then age lane. */
+    SetBlocks blocks;
     std::uint64_t validEntries = 0;
 
     Counter hitCount;

@@ -165,7 +165,8 @@ absorbChunk(ContentHash &hasher, std::uint32_t stream,
 TracePackWriter::TracePackWriter(
     const std::string &path, std::vector<std::string> streamNames,
     std::uint64_t chunkRecords)
-    : out(path, std::ios::binary | std::ios::trunc), filePath(path),
+    : filePath(path),
+      tempPath(path + ".partial-" + std::to_string(::getpid())),
       chunkCapacity(chunkRecords)
 {
     if (streamNames.empty())
@@ -174,6 +175,7 @@ TracePackWriter::TracePackWriter(
     if (chunkCapacity == 0)
         throw TraceError("trace pack '" + path +
                          "': chunk size must be at least 1 record");
+    out.open(tempPath, std::ios::binary | std::ios::trunc);
     if (!out)
         throw TraceError("cannot create trace pack '" + path + "'");
 
@@ -216,11 +218,10 @@ TracePackWriter::TracePackWriter(
 
 TracePackWriter::~TracePackWriter()
 {
-    try {
-        close();
-    } catch (...) {
-        // A destructor must not throw; a failed implicit close
-        // leaves a torn (recoverable) pack behind.
+    // Unpublished: drop the temporary and leave the path untouched.
+    if (!closed) {
+        out.close();
+        std::remove(tempPath.c_str());
     }
 }
 
@@ -345,6 +346,10 @@ TracePackWriter::close()
         throw TraceError("error writing trace pack '" + filePath +
                          "'");
     out.close();
+    if (std::rename(tempPath.c_str(), filePath.c_str()) != 0) {
+        throw TraceError("cannot move trace pack into place at '" +
+                         filePath + "': " + std::strerror(errno));
+    }
     closed = true;
 }
 

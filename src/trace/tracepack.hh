@@ -98,17 +98,22 @@ tracePackSchema()
  * Streams are declared up front (the directory is written before any
  * chunk); records are appended per stream and buffered until a chunk
  * fills, so memory stays bounded at streams x chunk_records records
- * no matter how long the trace is. close() flushes partial tail
- * chunks, writes the index footer, and finalises the header — a
- * writer that dies before close() leaves a recoverable torn file.
+ * no matter how long the trace is. The pack is written to a
+ * temporary sibling of its path; close() flushes partial tail
+ * chunks, writes the index footer, finalises the header and renames
+ * the file over the path. A writer destroyed without a successful
+ * close() removes its temporary and leaves the path untouched, so a
+ * failed capture or import never replaces an existing file; a
+ * process killed mid-write leaves a recoverable torn temporary.
  */
 class TracePackWriter
 {
   public:
     /**
-     * Create @p path (truncating) with one stream per entry of
-     * @p streamNames. Throws TraceError if the file cannot be
-     * created or the stream set is empty.
+     * Start a pack for @p path with one stream per entry of
+     * @p streamNames, written to a temporary sibling until close().
+     * Throws TraceError if the file cannot be created or the stream
+     * set is empty.
      *
      * @param chunkRecords Records per full chunk; tune down for
      *        fine-grained recovery, up for fewer chunk headers.
@@ -130,7 +135,8 @@ class TracePackWriter
 
     /**
      * Flush tail chunks, write the index footer, finalise the
-     * header. Also run by the destructor; idempotent.
+     * header, and rename the finished pack over path(). Idempotent
+     * once it has succeeded. Without it nothing is published.
      */
     void close();
 
@@ -157,6 +163,8 @@ class TracePackWriter
 
     std::ofstream out;
     std::string filePath;
+    /** Where the pack is written until close() publishes it. */
+    std::string tempPath;
     std::vector<StreamState> streams;
     std::uint64_t chunkCapacity;
     std::uint64_t totalRecords = 0;

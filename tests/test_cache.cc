@@ -1,18 +1,21 @@
 /**
  * @file
  * Set-associative cache tests: hit/miss behaviour, eviction,
- * dirty-line writeback accounting, TLB-line occupancy tracking, and
- * a differential test against a naive per-set LRU-list model.
+ * dirty-line writeback accounting, TLB-line occupancy tracking, the
+ * 32-bit tag bound, zero-page set blocks, and a differential test
+ * against a naive per-set LRU-list model at every set-block size.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
+#include "resident_memory.hh"
 
 namespace pomtlb
 {
@@ -181,8 +184,8 @@ TEST(Cache, LruOrderRespectsLookups)
 
 /**
  * Naive reference model of SetAssocCache: each set is a list of
- * resident lines from least to most recently used. No stamps, no
- * sentinel tags, no way indices — so an optimisation of the real
+ * resident lines from least to most recently used. No ages, no
+ * stored-tag encoding, no way indices — so an optimisation of the real
  * layout cannot hide a change in behaviour behind a matching one
  * here.
  */
@@ -313,73 +316,156 @@ class ReferenceCache
 
 TEST(Cache, MatchesReferenceModelOnRandomStream)
 {
-    for (const TlbLinePolicy policy :
-         {TlbLinePolicy::None, TlbLinePolicy::RetainTlb}) {
-        SCOPED_TRACE(policy == TlbLinePolicy::None ? "plain LRU"
-                                                   : "retain TLB");
-        const CacheConfig config = tinyCache();
-        SetAssocCache cache(config);
-        cache.setTlbLinePolicy(policy);
-        ReferenceCache ref(config.numSets(), config.associativity,
-                           policy == TlbLinePolicy::RetainTlb);
-        Rng rng(policy == TlbLinePolicy::None ? 1 : 2);
+    // Every set-block size class: sub-line blocks that share a host
+    // line (1, 2 and 4 ways), one line (8), a line pair (12, 16) and
+    // four lines (32).
+    for (const unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u, 32u}) {
+        for (const TlbLinePolicy policy :
+             {TlbLinePolicy::None, TlbLinePolicy::RetainTlb}) {
+            SCOPED_TRACE(std::to_string(ways) + " ways, " +
+                         (policy == TlbLinePolicy::None ? "plain LRU"
+                                                        : "retain TLB"));
+            CacheConfig config = tinyCache();
+            config.associativity = ways;
+            config.sizeBytes = 16 * ways * config.lineBytes; // 16 sets
+            SetAssocCache cache(config);
+            cache.setTlbLinePolicy(policy);
+            ReferenceCache ref(config.numSets(), config.associativity,
+                               policy == TlbLinePolicy::RetainTlb);
+            Rng rng(policy == TlbLinePolicy::None ? 1 : 2);
 
-        // Three sets and ten tags per set over four ways, so sets
-        // fill, evict and refill; offsets inside a line must not
-        // matter.
-        for (int op = 0; op < 20000; ++op) {
-            const Addr addr =
-                addrFor(rng.below(3), rng.below(10)) | rng.below(64);
-            const LineKind kind = rng.chance(0.3) ? LineKind::TlbEntry
-                                                  : LineKind::Data;
-            const std::uint64_t draw = rng.below(1000);
-            SCOPED_TRACE("op " + std::to_string(op));
-            if (draw < 450) {
-                const AccessType type = rng.chance(0.3)
-                                            ? AccessType::Write
-                                            : AccessType::Read;
-                const CacheLookupResult got =
-                    cache.lookup(addr, type, kind);
-                const CacheLookupResult want =
-                    ref.lookup(addr, type, kind);
-                ASSERT_EQ(got.hit, want.hit);
-                if (want.hit) {
-                    ASSERT_EQ(got.kind, want.kind);
+            // Three neighbouring sets and 2 x ways + 2 tags per set,
+            // so sets fill, evict and refill; offsets inside a line
+            // must not matter.
+            const std::uint64_t tags = 2 * ways + 2;
+            for (int op = 0; op < 20000; ++op) {
+                const Addr addr =
+                    addrFor(rng.below(3), rng.below(tags)) |
+                    rng.below(64);
+                const LineKind kind = rng.chance(0.3)
+                                          ? LineKind::TlbEntry
+                                          : LineKind::Data;
+                const std::uint64_t draw = rng.below(1000);
+                SCOPED_TRACE("op " + std::to_string(op));
+                if (draw < 450) {
+                    const AccessType type = rng.chance(0.3)
+                                                ? AccessType::Write
+                                                : AccessType::Read;
+                    const CacheLookupResult got =
+                        cache.lookup(addr, type, kind);
+                    const CacheLookupResult want =
+                        ref.lookup(addr, type, kind);
+                    ASSERT_EQ(got.hit, want.hit);
+                    if (want.hit) {
+                        ASSERT_EQ(got.kind, want.kind);
+                    }
+                } else if (draw < 900) {
+                    const bool dirty = rng.chance(0.2);
+                    const CacheFillResult got =
+                        cache.fill(addr, kind, dirty);
+                    const CacheFillResult want =
+                        ref.fill(addr, kind, dirty);
+                    ASSERT_EQ(got.evicted, want.evicted);
+                    if (want.evicted) {
+                        ASSERT_EQ(got.victimAddr, want.victimAddr);
+                        ASSERT_EQ(got.victimDirty, want.victimDirty);
+                        ASSERT_EQ(got.victimKind, want.victimKind);
+                    }
+                } else if (draw < 995) {
+                    ASSERT_EQ(cache.invalidate(addr),
+                              ref.invalidate(addr));
+                } else {
+                    ASSERT_EQ(cache.flush(), ref.flush());
                 }
-            } else if (draw < 900) {
-                const bool dirty = rng.chance(0.2);
-                const CacheFillResult got =
-                    cache.fill(addr, kind, dirty);
-                const CacheFillResult want = ref.fill(addr, kind, dirty);
-                ASSERT_EQ(got.evicted, want.evicted);
-                if (want.evicted) {
-                    ASSERT_EQ(got.victimAddr, want.victimAddr);
-                    ASSERT_EQ(got.victimDirty, want.victimDirty);
-                    ASSERT_EQ(got.victimKind, want.victimKind);
-                }
-            } else if (draw < 995) {
-                ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr));
-            } else {
-                ASSERT_EQ(cache.flush(), ref.flush());
-            }
 
-            // Same resident lines and kinds, same counters.
-            const auto lines = ref.lines();
-            ASSERT_EQ(cache.validLineCount(), lines.size());
-            std::uint64_t tlb_lines = 0;
-            for (const auto &line : lines) {
-                ASSERT_TRUE(cache.contains(line.line)) << line.line;
-                tlb_lines += line.kind == LineKind::TlbEntry ? 1 : 0;
+                // Same resident lines and kinds, same counters.
+                const auto lines = ref.lines();
+                ASSERT_EQ(cache.validLineCount(), lines.size());
+                std::uint64_t tlb_lines = 0;
+                for (const auto &line : lines) {
+                    ASSERT_TRUE(cache.contains(line.line)) << line.line;
+                    tlb_lines +=
+                        line.kind == LineKind::TlbEntry ? 1 : 0;
+                }
+                ASSERT_EQ(cache.tlbLineCount(), tlb_lines);
+                ASSERT_EQ(cache.hitCount(LineKind::Data), ref.hits[0]);
+                ASSERT_EQ(cache.hitCount(LineKind::TlbEntry),
+                          ref.hits[1]);
+                ASSERT_EQ(cache.missCount(LineKind::Data),
+                          ref.misses[0]);
+                ASSERT_EQ(cache.missCount(LineKind::TlbEntry),
+                          ref.misses[1]);
+                ASSERT_EQ(cache.writebackCount(), ref.writebacks);
             }
-            ASSERT_EQ(cache.tlbLineCount(), tlb_lines);
-            ASSERT_EQ(cache.hitCount(LineKind::Data), ref.hits[0]);
-            ASSERT_EQ(cache.hitCount(LineKind::TlbEntry), ref.hits[1]);
-            ASSERT_EQ(cache.missCount(LineKind::Data), ref.misses[0]);
-            ASSERT_EQ(cache.missCount(LineKind::TlbEntry),
-                      ref.misses[1]);
-            ASSERT_EQ(cache.writebackCount(), ref.writebacks);
         }
     }
+}
+
+TEST(Cache, OversizedTagFailsLoudly)
+{
+    // The tag lane holds 32 bits: a wider tag panics, naming the
+    // cache and the address, instead of aliasing another line, and
+    // a lookup of one misses.
+    SetAssocCache cache(tinyCache());
+    const Addr widest = addrFor(0, 0xfffffffe);
+    const Addr too_wide = addrFor(0, 0xffffffff);
+    try {
+        cache.fill(too_wide, LineKind::Data);
+        FAIL() << "expected a panic";
+    } catch (const std::logic_error &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("test"), std::string::npos) << message;
+        EXPECT_NE(message.find(std::to_string(too_wide)),
+                  std::string::npos)
+            << message;
+    }
+    EXPECT_EQ(cache.validLineCount(), 0u);
+    EXPECT_FALSE(
+        cache.lookup(too_wide, AccessType::Read, LineKind::Data).hit);
+    EXPECT_FALSE(cache.contains(too_wide));
+    EXPECT_FALSE(cache.invalidate(too_wide));
+
+    cache.fill(widest, LineKind::Data);
+    EXPECT_TRUE(cache.contains(widest));
+    EXPECT_FALSE(cache.contains(too_wide));
+    cache.fill(addrFor(0, 1), LineKind::Data);
+    cache.fill(addrFor(0, 2), LineKind::Data);
+    cache.fill(addrFor(0, 3), LineKind::Data);
+    EXPECT_EQ(cache.fill(addrFor(0, 4), LineKind::Data).victimAddr,
+              widest);
+}
+
+TEST(CacheConfig, RejectsMoreWaysThanTheSetScanHolds)
+{
+    CacheConfig config = tinyCache();
+    config.associativity = 64;
+    config.sizeBytes = 64 * 64;
+    config.validate();
+    config.associativity = 128;
+    config.sizeBytes = 128 * 64;
+    EXPECT_DEATH_IF_SUPPORTED(
+        { config.validate(); },
+        "cache 'test': associativity 128 exceeds the 64-way set scan");
+}
+
+TEST(CacheFootprint, OnlyTouchedSetsAreResident)
+{
+    if (residentKb() < 0)
+        GTEST_SKIP() << "/proc/self/smaps_rollup is not readable";
+
+    const CacheConfig config = SystemConfig::table1().l3;
+    const long before = residentKb();
+    SetAssocCache cache(config);
+    // Misses read never-written set blocks, which maps no memory.
+    for (std::uint64_t line = 0; line < 4096; ++line) {
+        ASSERT_FALSE(cache
+                         .lookup(line * 7 * config.lineBytes,
+                                 AccessType::Read, LineKind::Data)
+                         .hit);
+    }
+    EXPECT_LT(residentKb() - before, 64)
+        << "constructing and probing " << config.name
+        << " made its set blocks resident";
 }
 
 } // namespace

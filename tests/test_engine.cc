@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/rng.hh"
 #include "sim/engine.hh"
+#include "sim/stats_export.hh"
 #include "trace/source.hh"
 #include "trace/tracepack.hh"
 #include "temp_path.hh"
@@ -66,6 +68,38 @@ TEST(Engine, DeterministicAcrossRuns)
     EXPECT_EQ(a.totals().lastLevelMisses, b.totals().lastLevelMisses);
     for (std::size_t i = 0; i < a.cores.size(); ++i)
         EXPECT_EQ(a.cores[i].cycles, b.cores[i].cycles);
+}
+
+TEST(Engine, SchemePrefetchLeavesTheStatsDocumentIdentical)
+{
+    // The core loop hints each lane's next record to the scheme.
+    // Hinting thousands more addresses, before the run and after
+    // it, must not change one byte of the statistics document.
+    const auto &profile = ProfileRegistry::byName("gups");
+    const auto hint = [](Machine &machine) {
+        Rng rng(99);
+        for (int i = 0; i < 4096; ++i) {
+            const PageSize size = rng.chance(0.5) ? PageSize::Small4K
+                                                  : PageSize::Large2M;
+            machine.scheme().prefetch(
+                static_cast<CoreId>(i % 2), rng.below(Addr{1} << 40),
+                size, static_cast<VmId>(1 + rng.below(4)), 1);
+        }
+    };
+
+    Machine plain(twoCores(), "POM-TLB");
+    const RunResult a =
+        SimulationEngine(plain, profile, quickEngine()).run();
+    const std::string want =
+        buildStatsDocument(plain, a, "gups").dump();
+
+    Machine hinted(twoCores(), "POM-TLB");
+    hint(hinted);
+    const RunResult b =
+        SimulationEngine(hinted, profile, quickEngine()).run();
+    EXPECT_EQ(buildStatsDocument(hinted, b, "gups").dump(), want);
+    hint(hinted);
+    EXPECT_EQ(buildStatsDocument(hinted, b, "gups").dump(), want);
 }
 
 TEST(Engine, SeedChangesResults)
@@ -206,6 +240,7 @@ TEST(Engine, EmptyPackStreamIsANamedTraceError)
         TraceRecord record;
         record.vaddr = 0x1000;
         writer.append(1, record);
+        writer.close();
     }
     EngineConfig config = quickEngine();
     config.tracePackPath = path;
@@ -250,6 +285,7 @@ TEST(Engine, PageSizeConflictIsANamedTraceError)
                     writer.append(0, large_first ? large : small);
                     writer.append(0, second);
                     writer.append(1, small);
+                    writer.close();
                 }
                 EngineConfig config = quickEngine();
                 config.tracePackPath = path;

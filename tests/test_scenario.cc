@@ -380,6 +380,7 @@ TEST(Scenario, EmptyPackStreamIsANamedTraceError)
         TraceRecord record;
         record.vaddr = 0x1000;
         writer.append(1, record);
+        writer.close();
     }
     ScenarioSpec spec = degenerateSpec("mcf");
     spec.withTracePack(path);
@@ -412,6 +413,7 @@ TEST(Scenario, PageSizeConflictIsANamedTraceError)
             writer.append(0, small);
             writer.append(1, large_first ? large : small);
             writer.append(1, large_first ? small : large);
+            writer.close();
         }
         ScenarioSpec spec = degenerateSpec("mcf");
         spec.withTracePack(path);

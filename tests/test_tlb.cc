@@ -1,8 +1,9 @@
 /**
  * @file
  * SRAM TLB tests: tag matching across page sizes, VM/process
- * isolation, eviction, shootdowns, and a differential test against a
- * naive per-set LRU-list model.
+ * isolation, eviction, shootdowns, the associativity bound, and a
+ * differential test against a naive per-set LRU-list model at every
+ * set-block size.
  */
 
 #include <gtest/gtest.h>
@@ -282,65 +283,93 @@ class ReferenceTlb
 
 TEST(Tlb, MatchesReferenceModelOnRandomStream)
 {
-    const TlbConfig config = tinyTlb();
-    SetAssocTlb tlb(config);
-    ReferenceTlb ref(config.numSets(), config.associativity);
-    Rng rng(20170624);
-    const auto counter = [&tlb](const char *name) {
-        return tlb.stats().toJson().at(name).asUint();
-    };
-    const auto holds = [&tlb](const ReferenceTlb::Entry &entry) {
-        return tlb.contains(entry.vpn, entry.size, entry.vm, entry.pid);
-    };
+    // Every set-block size class: blocks of 8 to 32 bytes sharing a
+    // host line (1, 2, 4 ways), one line (8, 12), a line pair (16)
+    // and three lines (32).
+    for (const unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u, 32u}) {
+        SCOPED_TRACE(std::to_string(ways) + " ways");
+        TlbConfig config = tinyTlb();
+        config.associativity = ways;
+        config.entries = 4 * ways; // 4 sets
+        SetAssocTlb tlb(config);
+        ReferenceTlb ref(config.numSets(), config.associativity);
+        Rng rng(20170624);
+        const auto counter = [&tlb](const char *name) {
+            return tlb.stats().toJson().at(name).asUint();
+        };
+        const auto holds = [&tlb](const ReferenceTlb::Entry &entry) {
+            return tlb.contains(entry.vpn, entry.size, entry.vm,
+                                entry.pid);
+        };
 
-    // Few VPNs, VMs and PIDs over 4 sets x 4 ways, so sets fill,
-    // evict and collide; VPN and PFN draws include their maxima.
-    const PageNum vpns[] = {0, 1, 2, 3, 4, 5, 6, 7, TlbEntry::maxVpn};
-    for (int op = 0; op < 20000; ++op) {
-        ReferenceTlb::Entry key;
-        key.vpn = vpns[rng.below(std::size(vpns))];
-        key.size = rng.chance(0.5) ? PageSize::Small4K
-                                   : PageSize::Large2M;
-        key.vm = static_cast<VmId>(1 + rng.below(3));
-        key.pid = static_cast<ProcessId>(rng.below(2) * 0xffff);
-        const std::uint64_t draw = rng.below(1000);
-        SCOPED_TRACE("op " + std::to_string(op));
-        if (draw < 400) {
-            key.pfn = rng.chance(0.1) ? TlbEntry::maxPfn
-                                      : rng.below(1u << 20);
-            tlb.insert(key.vpn, key.size, key.vm, key.pid, key.pfn);
-            const auto displaced = ref.insert(key);
-            if (displaced) {
-                ASSERT_FALSE(holds(*displaced))
-                    << "the LRU entry must be the one displaced";
+        // 2 x ways VPNs plus the largest, a few VMs and PIDs over 4
+        // sets, so sets fill, evict and collide; VPN and PFN draws
+        // include their maxima.
+        std::vector<PageNum> vpns;
+        for (PageNum vpn = 0; vpn < 2 * ways; ++vpn)
+            vpns.push_back(vpn);
+        vpns.push_back(TlbEntry::maxVpn);
+        for (int op = 0; op < 20000; ++op) {
+            ReferenceTlb::Entry key;
+            key.vpn = vpns[rng.below(vpns.size())];
+            key.size = rng.chance(0.5) ? PageSize::Small4K
+                                       : PageSize::Large2M;
+            key.vm = static_cast<VmId>(1 + rng.below(3));
+            key.pid = static_cast<ProcessId>(rng.below(2) * 0xffff);
+            const std::uint64_t draw = rng.below(1000);
+            SCOPED_TRACE("op " + std::to_string(op));
+            if (draw < 400) {
+                key.pfn = rng.chance(0.1) ? TlbEntry::maxPfn
+                                          : rng.below(1u << 20);
+                tlb.insert(key.vpn, key.size, key.vm, key.pid,
+                           key.pfn);
+                const auto displaced = ref.insert(key);
+                if (displaced) {
+                    ASSERT_FALSE(holds(*displaced))
+                        << "the LRU entry must be the one displaced";
+                }
+            } else if (draw < 850) {
+                const TlbLookupResult got =
+                    tlb.lookup(key.vpn, key.size, key.vm, key.pid);
+                const TlbLookupResult want = ref.lookup(key);
+                ASSERT_EQ(got.hit, want.hit);
+                ASSERT_EQ(got.pfn, want.pfn);
+            } else if (draw < 970) {
+                ASSERT_EQ(tlb.invalidatePage(key.vpn, key.size,
+                                             key.vm, key.pid),
+                          ref.invalidatePage(key));
+            } else if (draw < 995) {
+                ASSERT_EQ(tlb.invalidateVm(key.vm),
+                          ref.invalidateVm(key.vm));
+            } else {
+                ASSERT_EQ(tlb.flush(), ref.flush());
             }
-        } else if (draw < 850) {
-            const TlbLookupResult got =
-                tlb.lookup(key.vpn, key.size, key.vm, key.pid);
-            const TlbLookupResult want = ref.lookup(key);
-            ASSERT_EQ(got.hit, want.hit);
-            ASSERT_EQ(got.pfn, want.pfn);
-        } else if (draw < 970) {
-            ASSERT_EQ(tlb.invalidatePage(key.vpn, key.size, key.vm,
-                                         key.pid),
-                      ref.invalidatePage(key));
-        } else if (draw < 995) {
-            ASSERT_EQ(tlb.invalidateVm(key.vm), ref.invalidateVm(key.vm));
-        } else {
-            ASSERT_EQ(tlb.flush(), ref.flush());
-        }
 
-        // Same valid entries, same counters.
-        const auto entries = ref.entries();
-        ASSERT_EQ(tlb.validEntryCount(), entries.size());
-        for (const auto &entry : entries)
-            ASSERT_TRUE(holds(entry)) << "vpn " << entry.vpn;
-        ASSERT_EQ(tlb.hits(), ref.hits);
-        ASSERT_EQ(tlb.misses(), ref.misses);
-        ASSERT_EQ(counter("insertions"), ref.insertions);
-        ASSERT_EQ(counter("evictions"), ref.evictions);
-        ASSERT_EQ(counter("shootdowns"), ref.shootdowns);
+            // Same valid entries, same counters.
+            const auto entries = ref.entries();
+            ASSERT_EQ(tlb.validEntryCount(), entries.size());
+            for (const auto &entry : entries)
+                ASSERT_TRUE(holds(entry)) << "vpn " << entry.vpn;
+            ASSERT_EQ(tlb.hits(), ref.hits);
+            ASSERT_EQ(tlb.misses(), ref.misses);
+            ASSERT_EQ(counter("insertions"), ref.insertions);
+            ASSERT_EQ(counter("evictions"), ref.evictions);
+            ASSERT_EQ(counter("shootdowns"), ref.shootdowns);
+        }
     }
+}
+
+TEST(TlbConfig, RejectsMoreWaysThanTheSetScanHolds)
+{
+    TlbConfig config = tinyTlb();
+    config.associativity = 64;
+    config.entries = 64;
+    config.validate();
+    config.associativity = 65;
+    config.entries = 65;
+    EXPECT_DEATH_IF_SUPPORTED(
+        { config.validate(); },
+        "tlb 'test': associativity 65 exceeds the 64-way set scan");
 }
 
 } // namespace

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <set>
@@ -80,6 +84,37 @@ pomtBytes(const std::vector<TraceRecord> &records,
     return out;
 }
 
+/**
+ * Run the pomtlb CLI with @p args (each already shell-quoted where
+ * needed), stdout discarded and stderr saved to @p stderr_path.
+ * Returns its exit status, or -1 when it did not exit normally.
+ */
+int
+runCli(const std::string &args, const std::string &stderr_path)
+{
+    const std::string command = std::string("'") + POMTLB_CLI_PATH +
+                                "' " + args + " > /dev/null 2> '" +
+                                stderr_path + "'";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Entries of @p path's directory whose names start with its name. */
+std::vector<std::string>
+filesNamedLike(const std::string &path)
+{
+    const std::filesystem::path target(path);
+    const std::string stem = target.filename().string();
+    std::vector<std::string> found;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+        const std::string name = entry.path().filename().string();
+        if (name.compare(0, stem.size(), stem) == 0)
+            found.push_back(name);
+    }
+    return found;
+}
+
 class TracePackTest : public ::testing::Test
 {
   protected:
@@ -132,7 +167,8 @@ TEST_F(TracePackTest, SeekIsPositionIndependent)
     {
         TracePackWriter writer(path, {"core0"}, 256);
         writer.append(0, records.data(), records.size());
-    } // destructor finalises
+        writer.close();
+    }
 
     TracePackReader reader(path);
     // Reads starting mid-stream (mid-chunk and at chunk edges)
@@ -186,6 +222,7 @@ TEST_F(TracePackTest, PackStreamSourceWrapsLikeFileSource)
     {
         TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
+        writer.close();
     }
 
     auto reader = std::make_shared<TracePackReader>(path);
@@ -214,6 +251,7 @@ TEST_F(TracePackTest, PackStreamSourceFillMatchesRepeatedNext)
     {
         TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
+        writer.close();
     }
     auto reader = std::make_shared<TracePackReader>(path);
     PackStreamSource batched(reader, 0);
@@ -246,6 +284,7 @@ TEST_F(TracePackTest, PackStreamSourceShortReadsWithoutWrap)
     {
         TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
+        writer.close();
     }
     auto reader = std::make_shared<TracePackReader>(path);
     PackStreamSource source(reader, 0, /*wrap=*/false);
@@ -260,6 +299,7 @@ TEST_F(TracePackTest, EmptyStreamNeverSpinsEvenWithWrap)
         TracePackWriter writer(path, {"empty", "full"});
         const auto records = syntheticRecords(3, 5);
         writer.append(1, records.data(), records.size());
+        writer.close();
     }
     auto reader = std::make_shared<TracePackReader>(path);
     PackStreamSource source(reader, 0, /*wrap=*/true);
@@ -378,6 +418,7 @@ TEST_F(TracePackTest, UnsupportedVersionIsRejected)
         TracePackWriter writer(path, {"core0"});
         const auto records = syntheticRecords(4, 1);
         writer.append(0, records.data(), records.size());
+        writer.close();
     }
     std::string bytes = fileBytes(path);
     bytes[8] = 9; // version field
@@ -503,6 +544,7 @@ TEST_F(TracePackTest, LegacyScanNamesEveryBadInputAndDecodesFlags)
     {
         TracePackWriter writer(pack, {"core0"});
         writer.append(0, flagged.data(), flagged.size());
+        writer.close();
     }
     const std::string packed = fileBytes(pack);
     std::remove(pack.c_str());
@@ -617,6 +659,60 @@ TEST_F(TracePackTest, TextFormRoundTripsAndNamesBadLines)
     std::remove(text.c_str());
 }
 
+// -- `trace pack` failures publish nothing ----------------------
+
+TEST_F(TracePackTest, FailedImportLeavesNoOutput)
+{
+    // A legacy POMT file cut mid-record: the import fails after some
+    // records were appended, and neither the output nor the
+    // writer's temporary may be left behind.
+    std::string bad = pomtBytes(syntheticRecords(8, 3));
+    bad.resize(bad.size() - 6);
+    const std::string input = uniqueTempPath("bad.pomt");
+    const std::string errors = uniqueTempPath("stderr.txt");
+    writeBytes(input, bad);
+
+    EXPECT_EQ(runCli("trace pack --in '" + input + "' --out '" + path +
+                         "'",
+                     errors),
+              1);
+    EXPECT_NE(fileBytes(errors).find(input), std::string::npos)
+        << fileBytes(errors);
+    EXPECT_FALSE(std::filesystem::exists(path))
+        << "a failed import left a pack at the output path";
+    EXPECT_TRUE(filesNamedLike(path).empty())
+        << "a failed import left " << filesNamedLike(path).front();
+    std::remove(input.c_str());
+    std::remove(errors.c_str());
+}
+
+TEST_F(TracePackTest, PackingAPackOntoItselfKeepsIt)
+{
+    const auto records = syntheticRecords(2000, 5);
+    {
+        TracePackWriter writer(path, {"core0"}, 256);
+        writer.append(0, records.data(), records.size());
+        writer.close();
+    }
+    const std::string original = fileBytes(path);
+    const std::string errors = uniqueTempPath("stderr.txt");
+
+    EXPECT_EQ(runCli("trace pack --in '" + path + "' --out '" + path +
+                         "'",
+                     errors),
+              1);
+    EXPECT_NE(fileBytes(errors).find(
+                  "already a pomtlb-tracepack-v1 trace pack"),
+              std::string::npos)
+        << fileBytes(errors);
+    EXPECT_EQ(fileBytes(path), original)
+        << "the input pack was overwritten";
+    EXPECT_EQ(filesNamedLike(path),
+              std::vector<std::string>{
+                  std::filesystem::path(path).filename().string()});
+    std::remove(errors.c_str());
+}
+
 // -- the info document --------------------------------------------
 
 TEST_F(TracePackTest, InfoJsonDescribesThePack)
@@ -626,6 +722,7 @@ TEST_F(TracePackTest, InfoJsonDescribesThePack)
         TracePackWriter writer(path, {"core0", "core1"}, 128);
         writer.append(0, records.data(), 200);
         writer.append(1, records.data() + 200, 100);
+        writer.close();
     }
     const JsonValue doc = tracePackInfoJson(path);
     EXPECT_EQ(doc.at("schema").asString(), "pomtlb-tracepack-v1");
@@ -675,6 +772,7 @@ TEST_F(TracePackTest, TraceFormatDocCoversTheInfoDocument)
     {
         TracePackWriter writer(path, {"core0"});
         writer.append(0, records.data(), records.size());
+        writer.close();
     }
     const JsonValue info = tracePackInfoJson(path);
 

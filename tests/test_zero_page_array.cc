@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "common/zero_page_array.hh"
 #include "pomtlb/pom_tlb.hh"
+#include "resident_memory.hh"
 
 namespace pomtlb
 {
@@ -59,35 +58,8 @@ TEST(ZeroPageArray, EmptyArrayHasNoElements)
     EXPECT_EQ(zero.size(), 0u);
 }
 
-#ifdef __linux__
-/**
- * Resident set size of this process in kB. Read from smaps_rollup,
- * which walks the page tables and is exact; VmRSS in /proc/self/status
- * is a per-CPU batched counter that may lag by hundreds of kB, more
- * than the one-page steps checked here. Returns -1 when unavailable.
- */
-long
-residentKb()
-{
-    std::FILE *file = std::fopen("/proc/self/smaps_rollup", "r");
-    if (!file)
-        return -1;
-    char line[256];
-    long kb = -1;
-    while (std::fgets(line, sizeof(line), file)) {
-        if (std::sscanf(line, "Rss: %ld kB", &kb) == 1)
-            break;
-    }
-    std::fclose(file);
-    return kb;
-}
-#endif
-
 TEST(PomTlbFootprint, OnlyWrittenSetsAreResident)
 {
-#ifndef __linux__
-    GTEST_SKIP() << "needs /proc/self/smaps_rollup";
-#else
     if (residentKb() < 0)
         GTEST_SKIP() << "/proc/self/smaps_rollup is not readable";
 
@@ -117,7 +89,6 @@ TEST(PomTlbFootprint, OnlyWrittenSetsAreResident)
         << "writing one set made more than a few pages resident";
     EXPECT_TRUE(
         pom.searchSet(0x40000000, 1, 1, PageSize::Small4K).hit);
-#endif
 }
 
 } // namespace
